@@ -13,9 +13,16 @@ Conventions:
     A lightweight `reduced` pass (exact division, monomial/scalar content,
     univariate GCD) exists for presentation purposes only.
   * Canonical text form orders terms by (total degree, exponent tuple).
-  * Determinants clear denominators row by row and run fraction-free
-    (Bareiss) elimination on the resulting polynomial matrix, so the
-    intermediate swell stays polynomial instead of nested-fraction.
+  * Determinants and ranks clear denominators row by row and run
+    fraction-free (Bareiss) elimination on the resulting polynomial
+    matrix, so the intermediate swell stays polynomial instead of
+    nested-fraction.
+  * `solve` is block triangular: a maximum transversal and the strongly
+    connected components of the matched system order the unknowns so
+    each block needs only blocks solved before it.  One-unknown blocks
+    are a single division (by an exact inverse monomial for a monomial
+    pivot, so Fox systems of braids never leave the Laurent ring); only
+    cyclic blocks go through the dense Bareiss Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -139,18 +146,12 @@ class LaurentPoly:
         """Evaluation at t_1 = ... = t_n = 1 (the augmentation map)."""
         return sum(self.terms.values(), Fraction(0))
 
-    def constant_coeff(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
-
     def min_exponents(self) -> Exponents:
         """Componentwise minimum exponent over all terms (poly must be nonzero)."""
         if not self.terms:
             raise AlgebraError("min_exponents of the zero polynomial")
         cols = zip(*self.terms.keys())
         return tuple(min(c) for c in cols)
-
-    def total_degrees(self):
-        return [sum(e) for e in self.terms]
 
     # ---- arithmetic ----
 
@@ -302,13 +303,6 @@ class LaurentPoly:
         q = _ordinary_exact_div(p, d)
         return q.shift(tuple(a - b for a, b in zip(mp, md)))
 
-    def divides(self, other: "LaurentPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except NotDivisibleError:
-            return False
-
     # ---- dunder plumbing ----
 
     def __eq__(self, other) -> bool:
@@ -442,10 +436,6 @@ class RatFunc:
         self.den = den
 
     # ---- constructors ----
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RatFunc":
-        return RatFunc(p)
 
     @staticmethod
     def zero(num_vars: int) -> "RatFunc":
@@ -779,22 +769,6 @@ class RatMatrix:
         body = "; ".join(", ".join(x.to_text() for x in row) for row in self.entries)
         return f"RatMatrix[{body}]"
 
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one = RatFunc.one(self.num_vars)
-        zero = RatFunc.zero(self.num_vars)
-        return all(self.entries[i][j] == (one if i == j else zero)
-                   for i in range(self.rows) for j in range(self.cols))
-
-    def trace(self) -> RatFunc:
-        if self.rows != self.cols:
-            raise ShapeError("trace of a non-square matrix")
-        acc = RatFunc.zero(self.num_vars)
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
 
 def _dedup_denominators(row: Sequence[RatFunc]):
     """Distinct denominators in a row, deduplicated by structural equality."""
@@ -917,13 +891,14 @@ def det(M: RatMatrix) -> RatFunc:
     return RatFunc(d, den_factor)
 
 
-def solve(M: RatMatrix, B: RatMatrix) -> RatMatrix:
-    """Solve M X = B exactly (M square and invertible over F).
+def _solve_dense(M: RatMatrix, B: RatMatrix) -> RatMatrix:
+    """Solve M X = B by dense elimination (M square and invertible over F).
 
     Clears denominators row by row, then runs fraction-free Gauss-Jordan
     (Bareiss one-step rule applied to all rows), so every intermediate entry
     stays a Laurent polynomial; each solution entry is a single fraction
-    N_ij / pivot.
+    N_ij / pivot.  `solve` uses it on cyclic blocks, and the tests use it
+    as the reference for `solve`.
     """
     if M.rows != M.cols:
         raise ShapeError("solve requires a square coefficient matrix")
@@ -966,6 +941,148 @@ def solve(M: RatMatrix, B: RatMatrix) -> RatMatrix:
     d = aug[n - 1][n - 1]
     out = [[RatFunc(aug[i][n + j], d) for j in range(B.cols)] for i in range(n)]
     return RatMatrix(nv, out)
+
+
+def _transversal(pattern):
+    """A perfect matching of rows to columns on a square nonzero pattern.
+
+    pattern[i] lists the columns of row i's nonzero entries.  Returns
+    row_of with row_of[j] the row matched to column j, or None when no
+    perfect matching exists (the matrix is structurally singular).  Each
+    row is matched by an alternating-path search from it (MC21), which
+    takes a free column directly when the row has one.
+    """
+    n = len(pattern)
+    row_of = [None] * n
+    col_of = [None] * n
+    for start in range(n):
+        reached_from = {}
+        stack = [start]
+        free = None
+        while stack and free is None:
+            i = stack.pop()
+            for j in pattern[i]:
+                if j in reached_from:
+                    continue
+                reached_from[j] = i
+                if row_of[j] is None:
+                    free = j
+                    break
+                stack.append(row_of[j])
+        if free is None:
+            return None
+        j = free
+        while j is not None:
+            i = reached_from[j]
+            j_next = col_of[i]
+            row_of[j], col_of[i] = i, j
+            j = j_next
+    return row_of
+
+
+def _strong_components(deps):
+    """Tarjan's strongly connected components of the graph j -> deps[j].
+
+    Components come out dependencies first: every component is listed
+    after all the components it has an edge into.
+    """
+    n = len(deps)
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, k = work.pop()
+            if k == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            edges = deps[v]
+            while k < len(edges):
+                w = edges[k]
+                k += 1
+                if index[w] is None:
+                    work.append((v, k))
+                    work.append((w, 0))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(component))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return components
+
+
+def _inverse(p: RatFunc) -> RatFunc:
+    """1/p; a Laurent polynomial when p is a monomial with denominator 1."""
+    if p.num.is_monomial() and p.den.is_one():
+        return RatFunc(p.num ** -1)
+    return p.inverse()
+
+
+def solve(M: RatMatrix, B: RatMatrix) -> RatMatrix:
+    """Solve M X = B exactly (M square and invertible over F).
+
+    Block-triangular strategy (Duff-Reid): a maximum transversal matches
+    every unknown to a row with a nonzero entry there (none means M is
+    structurally singular), and the strongly connected components of
+    "unknown j's row mentions unknown l" order the unknowns so that each
+    block depends only on blocks solved before it.  Solved unknowns are
+    moved to the right-hand side.  A one-unknown block is one division,
+    by the exact inverse monomial when the pivot is a monomial, so braid
+    portions of a Fox system stay Laurent polynomials with denominator 1.
+    Blocks of two or more unknowns (cyclic cores from cups and caps) go
+    to the dense fraction-free Gauss-Jordan of _solve_dense.
+    """
+    if M.rows != M.cols:
+        raise ShapeError("solve requires a square coefficient matrix")
+    if M.rows != B.rows:
+        raise ShapeError("right-hand side row count mismatch")
+    n = M.rows
+    nv = M.num_vars
+    a = M.entries
+    pattern = [[j for j in range(n) if not a[i][j].is_zero()] for i in range(n)]
+    row_of = _transversal(pattern)
+    if row_of is None:
+        raise SingularMatrixError("coefficient matrix is structurally singular")
+    deps = [[l for l in pattern[row_of[j]] if l != j] for j in range(n)]
+    X = [None] * n
+    for block in _strong_components(deps):
+        rows = [row_of[j] for j in block]
+        rhs = []
+        for r in rows:
+            row = B.entries[r]
+            for l in pattern[r]:
+                if X[l] is not None:
+                    m = a[r][l]
+                    row = [b if x.is_zero() else b - m * x for b, x in zip(row, X[l])]
+            rhs.append(row)
+        if len(block) == 1:
+            inv = _inverse(a[rows[0]][block[0]])
+            X[block[0]] = [b * inv for b in rhs[0]]
+        else:
+            core = RatMatrix(nv, [[a[r][j] for j in block] for r in rows])
+            sol = _solve_dense(core, RatMatrix(nv, rhs))
+            for j, x in zip(block, sol.entries):
+                X[j] = x
+    return RatMatrix(nv, X)
 
 
 def rank(M: RatMatrix) -> int:

@@ -24,8 +24,8 @@ from .alexander import (
     torsion,
 )
 from .algebra import (
+    AlgebraError,
     PoleError,
-    RatFunc,
     VerificationError,
     default_var_names,
 )
@@ -37,7 +37,7 @@ from .diagram import (
     stack,
     trace,
 )
-from .finitetype import alternating_sum, taylor_gassner
+from .finitetype import alternating_sum, flip_problem, taylor_gassner
 from .gassner import (
     burau,
     default_angles,
@@ -85,6 +85,16 @@ def _parse_int_list(text: str) -> List[int]:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise MorseError("expected a comma-separated integer list, got %r" % text)
+
+
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
 
 
 def _parse_float_list(text: str) -> List[float]:
@@ -176,6 +186,8 @@ def _cmd_report(word: MorseWord, opts) -> str:
 
 def _cmd_twist(word: MorseWord, opts) -> str:
     strand = opts.strand
+    if not 1 <= strand <= word.n:
+        raise MorseError("strand %d out of range 1..%d" % (strand, word.n))
     g = gassner(word)
     formula = twist_formula(g, strand)
     direct = gassner(add_twist(word, strand))
@@ -199,6 +211,9 @@ def _cmd_altsum(word: MorseWord, opts) -> str:
     if not opts.flips:
         raise MorseError("altsum needs --flips with at least one index")
     flips = _parse_int_list(opts.flips)
+    problem = flip_problem(word, flips)
+    if problem is not None:
+        raise MorseError(problem)
     k = len(flips)
     order = opts.order if opts.order is not None else k + 2
     series = alternating_sum(word, flips, order)
@@ -236,9 +251,13 @@ def _cmd_spectrum(word: MorseWord, opts) -> str:
                 "need %d angles (one per variable), got %d"
                 % (g.num_vars, len(angles))
             )
+        try:
+            report = unitary_spectrum_check(gt, angles)
+        except PoleError:
+            raise MorseError("angles %s hit a pole of the reduced matrix"
+                             % opts.angles)
     else:
-        angles = default_angles(g.n, g.num_vars)
-    report = unitary_spectrum_check(gt, angles)
+        report = unitary_spectrum_check(gt, default_angles(g.n, g.num_vars))
     if not report.ok:
         raise VerificationError(
             "spectrum off the unit circle: max | |lambda| - 1 | = %.3e"
@@ -367,8 +386,10 @@ def _process_file(path: str, opts_dict: dict) -> Tuple[str, int, str]:
         return path, EXIT_OK, _HANDLERS[opts.subcommand](word, opts)
     except (MorseError, OSError) as exc:
         return path, EXIT_USAGE, "error: %s" % exc
-    except (VerificationError, PoleError) as exc:
+    except VerificationError as exc:
         return path, EXIT_VIOLATION, "violation: %s" % exc
+    except (AlgebraError, ZeroDivisionError) as exc:
+        return path, EXIT_VIOLATION, "violation: %s: %s" % (type(exc).__name__, exc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, metavar="K",
                        help="process K files in parallel")
         if name in ("taylor", "altsum"):
-            p.add_argument("--order", type=int, default=None, metavar="N",
+            p.add_argument("--order", type=_nonneg_int, default=None, metavar="N",
                            help="truncation order (total degree bound)")
         if name == "altsum":
             p.add_argument("--flips", default=None, metavar="I,J,...",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import TruncatedSeries, VerificationError, series_var_names, taylor_expand
 from .diagram import CrossNeg, CrossPos, MorseWord, is_crossing
@@ -118,6 +118,21 @@ def _with_signs(
     return MorseWord(L.n, L.colors, tuple(events))
 
 
+def flip_problem(L: MorseWord, indices: Sequence[int]) -> Optional[str]:
+    """Why `indices` cannot be flipped in L, or None if they can.
+
+    Flips must be distinct 1-based event indices of crossings.
+    """
+    if len(set(indices)) != len(indices):
+        return "crossing indices must be distinct"
+    for idx in indices:
+        if not 1 <= idx <= len(L.events):
+            return "event index %d out of range" % idx
+        if not is_crossing(L.events[idx - 1]):
+            return "event %d is not a crossing" % idx
+    return None
+
+
 def alternating_sum(
     L: MorseWord, crossing_indices: Iterable[int], N: int
 ) -> SeriesMatrix:
@@ -128,13 +143,9 @@ def alternating_sum(
     crossings cancels; the result certifies that order bound.
     """
     indices = list(crossing_indices)
-    if len(set(indices)) != len(indices):
-        raise VerificationError("crossing indices must be distinct")
-    for idx in indices:
-        if not 1 <= idx <= len(L.events):
-            raise VerificationError("event index %d out of range" % idx)
-        if not is_crossing(L.events[idx - 1]):
-            raise VerificationError("event %d is not a crossing" % idx)
+    problem = flip_problem(L, indices)
+    if problem is not None:
+        raise VerificationError(problem)
     k = len(indices)
     total = None
     for signs in product((1, -1), repeat=k):

@@ -3,7 +3,11 @@
 gamma(L) is obtained by solving (A B) X = -C for the Wirtinger-Fox blocks
 of a traced diagram and keeping the top n rows of X; the remaining rows
 (the interior-arc block Z) are kept alongside because the closure-matrix
-factorization needs them.  Columns follow the top-meridian basis: column
+factorization needs them.  Both under-arc coefficients of every row are
++-monomials, so the block-triangular `algebra.solve` resolves braid
+portions arc by arc with unit pivots, and gamma and Z of a braid are
+Laurent polynomials; only loops closed by cups and caps leave a cyclic
+block for dense elimination.  Columns follow the top-meridian basis: column
 j is the solution with top labels delta_{jk}, so stacking words
 multiplies matrices in diagram order.
 

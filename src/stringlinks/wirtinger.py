@@ -168,20 +168,3 @@ def check_augmentation(fox: FoxMatrix) -> int:
         )
     return int(a)
 
-
-def debug_dump(pres: WirtingerPresentation, fox: FoxMatrix) -> str:
-    """Human-readable (A B C) with row/column labels, for troubleshooting."""
-    from .algebra import default_var_names
-
-    names = default_var_names(fox.num_vars)
-    full = fox.A.hstack(fox.B).hstack(fox.C)
-    header = [g.name for g in pres.generators]
-    lines = ["\t" + "\t".join(header)]
-    for i, rel in enumerate(pres.relators):
-        label = ".".join(
-            "%s%s" % (pres.generators[g].name, "" if e == 1 else "^-1")
-            for g, e in rel
-        )
-        cells = [full[i, j].to_text(names) for j in range(full.cols)]
-        lines.append(label + "\t" + "\t".join(cells))
-    return "\n".join(lines)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from stringlinks import MorseWord, from_braid_word, parse_morse, trace
-from stringlinks.diagram import is_crossing
+from stringlinks import MorseWord, add_twist, from_braid_word, gassner, parse_morse, trace
+from stringlinks.diagram import MorseError, add_kink, is_crossing
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -67,6 +67,33 @@ def random_pure_braids(count: int, seed: int, max_len: int = 8):
         if body_len + len(tail) > max_len:
             continue
         words.append(from_braid_word(3, gens + tail))
+    return words
+
+
+def random_twisted_tangles(count: int, seed: int):
+    """Braid words on 3-4 strands wrapped in a twist on a strand 2..n, plus kinks.
+
+    The twist's cup and cap close a loop through the body, so most of
+    these words have a cyclic core in their Fox system.  Draws whose
+    twisted strand does not return to its slot, or whose colors do not
+    close up, are skipped.
+    """
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        n = rng.choice([3, 4])
+        gens = [rng.randint(1, n - 1) * rng.choice([1, -1])
+                for _ in range(rng.randint(1, 3))]
+        word = from_braid_word(n, gens)
+        try:
+            for _ in range(rng.randint(1, 2)):
+                word = add_twist(word, rng.randint(2, n))
+            for _ in range(rng.randint(0, 2)):
+                word = add_kink(word, rng.randint(1, n))
+            gassner(word)
+        except MorseError:
+            continue
+        words.append(word)
     return words
 
 

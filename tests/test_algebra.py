@@ -1,13 +1,16 @@
 """Exact Laurent-polynomial, rational-function and matrix arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from stringlinks.algebra import SingularMatrixError
+from stringlinks.algebra import SingularMatrixError, _solve_dense
 
 from stringlinks import (
     LaurentPoly,
+    from_braid_word,
+    gassner,
     RatFunc,
     RatMatrix,
     ShapeError,
@@ -138,6 +141,109 @@ class TestRatMatrix:
         M = RatMatrix(1, [[one, one], [one, one]])
         with pytest.raises(SingularMatrixError):
             solve(M, RatMatrix.identity(1, 2))
+
+
+def _random_poly(rng, monomial=False, nv=2):
+    def exps():
+        return tuple(rng.randint(-1, 1) for _ in range(nv))
+
+    if monomial:
+        return LaurentPoly.monomial(nv, exps(), rng.choice([1, -1, 2]))
+    terms = {exps(): rng.randint(-2, 2) for _ in range(2)}
+    p = LaurentPoly(nv, terms)
+    return p if p.terms else LaurentPoly.one(nv) - t(0)
+
+
+def _random_entry(rng, monomial=False, fractions=False):
+    num = _random_poly(rng, monomial)
+    if fractions and not monomial and rng.random() < 0.5:
+        return RatFunc(num, _random_poly(rng))
+    return RatFunc(num)
+
+
+def _random_block_matrix(rng, blocks, monomial=0.5, fractions=False, fill=0.25):
+    """A shuffled block-lower-triangular matrix with the given diagonal block sizes."""
+    n = sum(blocks)
+    zero = RatFunc.zero(2)
+    M = [[zero] * n for _ in range(n)]
+    start = 0
+    for size in blocks:
+        for i in range(start, start + size):
+            M[i][i] = _random_entry(rng, rng.random() < monomial, fractions)
+            for j in range(start):
+                if rng.random() < fill:
+                    M[i][j] = _random_entry(rng, fractions=fractions)
+            if size > 1:
+                # a cycle through the block keeps it irreducible
+                j = start + (i - start + 1) % size
+                M[i][j] = _random_entry(rng, fractions=fractions)
+        start += size
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return RatMatrix(2, [[M[i][j] for j in cols] for i in rows])
+
+
+def _random_rhs(rng, n, width, fractions=False):
+    return RatMatrix(2, [[_random_entry(rng, fractions=fractions) for _ in range(width)]
+                         for _ in range(n)])
+
+
+class TestBlockTriangularSolve:
+    """solve must agree with the dense reference on every block structure."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singleton_blocks_match_dense(self, seed):
+        rng = random.Random(seed)
+        M = _random_block_matrix(rng, [1] * 7)
+        B = _random_rhs(rng, 7, 2)
+        X = solve(M, B)
+        assert X == _solve_dense(M, B)
+        assert M * X == B
+
+    def test_monomial_pivots_keep_denominator_one(self):
+        rng = random.Random(11)
+        M = _random_block_matrix(rng, [1] * 8, monomial=1.0)
+        X = solve(M, _random_rhs(rng, 8, 3))
+        assert all(x.den.is_one() for row in X.entries for x in row)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cyclic_blocks_match_dense(self, seed):
+        rng = random.Random(100 + seed)
+        M = _random_block_matrix(rng, [1, 3, 1, 2])
+        B = _random_rhs(rng, 7, 1)
+        assert solve(M, B) == _solve_dense(M, B)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fraction_entries_and_rhs_match_dense(self, seed):
+        rng = random.Random(200 + seed)
+        M = _random_block_matrix(rng, [1, 2, 1], fractions=True)
+        B = _random_rhs(rng, 4, 1, fractions=True)
+        X = solve(M, B)
+        assert X == _solve_dense(M, B)
+        assert M * X == B
+
+    def test_structurally_singular_raises(self):
+        # rows 0 and 1 only mention column 0, so no perfect matching exists
+        one, zero = LaurentPoly.one(2), LaurentPoly.zero(2)
+        M = RatMatrix(2, [[t(0), zero, zero], [one + t(1), zero, zero], [one, t(0), t(1)]])
+        with pytest.raises(SingularMatrixError):
+            solve(M, RatMatrix.identity(2, 3))
+
+    def test_numerically_singular_block_raises(self):
+        # a structurally nonsingular cyclic block with zero determinant,
+        # below a unit singleton
+        one, zero = LaurentPoly.one(2), LaurentPoly.zero(2)
+        M = RatMatrix(2, [[t(0), zero, zero],
+                          [one, one - t(1), t(0)],
+                          [zero, t(0) - t(0) * t(1), t(0) * t(0)]])
+        with pytest.raises(SingularMatrixError):
+            solve(M, RatMatrix.identity(2, 3))
+
+    def test_braid_gassner_has_denominator_one(self):
+        g = gassner(from_braid_word(3, [1, -2, 1, 1, -2, 2, -1, -1]))
+        cells = g.entries.entries + g.Z.entries
+        assert all(x.den.is_one() for row in cells for x in row)
 
 
 class TestSeries:

@@ -1,13 +1,16 @@
 """Command-line interface: output formats, exit codes, fan-out."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from stringlinks import gassner, matrix_from_json, parse_morse
+import stringlinks
+from stringlinks import cli, gassner, matrix_from_json, parse_morse
+from stringlinks.algebra import SingularMatrixError
 from stringlinks.cli import run
 
 from conftest import CORPUS_DIR
@@ -57,6 +60,69 @@ class TestExitCodes:
         )
         assert code == 2
         assert "violation" in err
+
+
+class TestBadArguments:
+    """Bad option values are usage errors (exit 1), never violations."""
+
+    def test_altsum_flip_out_of_range(self, capsys):
+        code, out, err = invoke(["altsum", HOPF, "--flips", "99"], capsys)
+        assert code == 1
+        assert "out of range" in err
+
+    def test_altsum_flip_not_a_crossing(self, capsys):
+        # event 3 of kink_on_hopf is the kink's cup
+        code, out, err = invoke(
+            ["altsum", str(CORPUS_DIR / "kink_on_hopf.sl"), "--flips", "3"], capsys
+        )
+        assert code == 1
+        assert "not a crossing" in err
+
+    def test_altsum_flips_not_distinct(self, capsys):
+        code, out, err = invoke(["altsum", HOPF, "--flips", "1,1"], capsys)
+        assert code == 1
+        assert "distinct" in err
+
+    def test_twist_strand_out_of_range(self, capsys):
+        code, out, err = invoke(["twist", HOPF, "--strand", "5"], capsys)
+        assert code == 1
+        assert "out of range" in err
+
+    def test_spectrum_pole_at_given_angles(self, capsys):
+        code, out, err = invoke(["spectrum", HOPF, "--angles", "0,0"], capsys)
+        assert code == 1
+        assert "pole" in err
+
+    def test_taylor_negative_order(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["taylor", HOPF, "--order", "-1"])
+        assert exc.value.code == 1
+
+    def test_altsum_negative_order(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["altsum", HOPF, "--flips", "1", "--order", "-2"])
+        assert exc.value.code == 1
+
+    def test_algebra_error_is_one_line_violation(self, monkeypatch, capsys):
+        def singular(word):
+            raise SingularMatrixError("coefficient matrix is structurally singular")
+
+        monkeypatch.setattr(cli, "gassner", singular)
+        code, out, err = invoke(["gassner", HOPF], capsys)
+        assert code == 2
+        assert err.strip() == (
+            "violation: SingularMatrixError: "
+            "coefficient matrix is structurally singular"
+        )
+
+    def test_zero_division_is_violation(self, monkeypatch, capsys):
+        def divide(fox):
+            raise ZeroDivisionError("division by the zero polynomial")
+
+        monkeypatch.setattr(cli, "torsion", divide)
+        code, out, err = invoke(["torsion", HOPF], capsys)
+        assert code == 2
+        assert "Traceback" not in err
 
 
 class TestJson:
@@ -159,10 +225,14 @@ class TestMultiFile:
 
 
 def test_console_script_installed():
+    # the child imports the same stringlinks as this process, installed or not
+    package_root = str(Path(stringlinks.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stringlinks.cli", "gassner", HOPF],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "t2" in proc.stdout

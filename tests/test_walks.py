@@ -5,15 +5,19 @@ import pytest
 from stringlinks import (
     RatMatrix,
     add_twist,
+    factorization_identity,
+    fox_of_word,
     from_braid_word,
     gassner,
     parse_ratfunc,
+    torsion,
     trace,
     twist_formula,
     walk_matrix,
 )
+from stringlinks.algebra import _strong_components, _transversal, augment
 
-from conftest import corpus_words, random_pure_braids
+from conftest import corpus_words, random_pure_braids, random_twisted_tangles
 
 
 def test_walk_matches_fox_on_small_words():
@@ -30,6 +34,27 @@ def test_walk_matches_fox_on_corpus():
 def test_walk_matches_fox_on_seeded_words():
     for word in random_pure_braids(8, seed=41):
         assert walk_matrix(trace(word)) == gassner(word).entries
+
+
+def fox_core_size(word) -> int:
+    """Size of the largest cyclic block of the Fox system (A B)."""
+    fox = fox_of_word(word)
+    M = fox.A.hstack(fox.B)
+    pattern = [[j for j, x in enumerate(row) if not x.is_zero()] for row in M.entries]
+    row_of = _transversal(pattern)
+    deps = [[l for l in pattern[row_of[j]] if l != j] for j in range(M.rows)]
+    return max(len(block) for block in _strong_components(deps))
+
+
+def test_fox_and_walk_agree_on_twisted_tangles():
+    words = random_twisted_tangles(10, seed=4)
+    assert sum(fox_core_size(word) > 1 for word in words) >= 8
+    for word in words:
+        g = gassner(word)
+        assert walk_matrix(trace(word)) == g.entries, word
+        F = fox_of_word(word)
+        assert factorization_identity(F, g).is_zero(), word
+        assert abs(augment(torsion(F))) == 1, word
 
 
 class TestTwistFormula:
