@@ -29,7 +29,7 @@ from .algebra import (
     normalize_unit,
     rank,
 )
-from .diagram import MorseWord, from_braid_word, trace
+from .diagram import MorseError, MorseWord, from_braid_word, trace
 from .gassner import GassnerMatrix, burau, fox_of_word, gassner, reduce
 from .wirtinger import FoxMatrix
 
@@ -151,7 +151,7 @@ def closure_matrix(F: FoxMatrix) -> ClosureMatrix:
     checked on the spot.
     """
     if F.bottom_colors != F.top_colors:
-        raise VerificationError(
+        raise MorseError(
             "closure undefined: bottom colors %s != top colors %s"
             % (F.bottom_colors, F.top_colors)
         )
@@ -357,7 +357,7 @@ def knot_closure_relation(
     """
     n = L.n
     if not trace(L).is_pure:
-        raise VerificationError("knot-closure relation needs a pure word")
+        raise MorseError("knot-closure relation needs a pure word")
     if B is None:
         B = list(range(1, n))
     B = list(B)

@@ -13,10 +13,12 @@ Conventions:
     A lightweight `reduced` pass (exact division, monomial/scalar content,
     univariate GCD) exists for presentation purposes only.
   * Canonical text form orders terms by (total degree, exponent tuple).
-  * Determinants and ranks clear denominators row by row and run
-    fraction-free (Bareiss) elimination on the resulting polynomial
-    matrix, so the intermediate swell stays polynomial instead of
-    nested-fraction.
+  * Determinants and ranks clear denominators row by row, then share one
+    sparse elimination: pivots that are +-monomials (units of the Laurent
+    ring) go first, in Markowitz order, each a Schur complement step, and
+    fraction-free (Bareiss) elimination runs only on the leftover core,
+    so the intermediate swell stays polynomial instead of nested-fraction.
+    A braid's det(A B) has no core at all.
   * `solve` is block triangular: a maximum transversal and the strongly
     connected components of the matched system order the unknowns so
     each block needs only blocks solved before it.  One-unknown blocks
@@ -770,52 +772,6 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-def _dedup_denominators(row: Sequence[RatFunc]):
-    """Distinct denominators in a row, deduplicated by structural equality."""
-    seen = []
-    for x in row:
-        if x.den.is_one():
-            continue
-        if not any(x.den == d for d in seen):
-            seen.append(x.den)
-    return seen
-
-
-def _clear_row(row: Sequence[RatFunc], num_vars: int):
-    """Scale a row of fractions to Laurent polynomials; returns (polys, factor)."""
-    dens = _dedup_denominators(row)
-    factor = LaurentPoly.one(num_vars)
-    for d in dens:
-        factor = factor * d
-    polys = []
-    for x in row:
-        # x.den (if nontrivial) matches exactly one dedup'd factor, so
-        # multiplying by the remaining factors yields x * factor exactly
-        p = x.num
-        for d in dens:
-            if not (x.den == d):
-                p = p * d
-        polys.append(p)
-    return polys, factor
-
-
-def _row_to_nonneg(polys):
-    """Shift a polynomial row so all exponents are >= 0; returns (row, shift)."""
-    mins = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        m = p.min_exponents()
-        mins = m if mins is None else tuple(min(a, b) for a, b in zip(mins, m))
-    if mins is None:
-        return list(polys), None
-    neg = tuple(min(x, 0) for x in mins)
-    if all(x == 0 for x in neg):
-        return list(polys), None
-    unshift = tuple(-x for x in neg)
-    return [p.shift(unshift) if not p.is_zero() else p for p in polys], neg
-
-
 def _bareiss_eliminate(mat):
     """In-place fraction-free elimination on a list-of-lists LaurentPoly matrix.
 
@@ -855,40 +811,116 @@ def _bareiss_eliminate(mat):
     return sign, pivots, r
 
 
+def _cleared_rows(rows, num_vars: int):
+    """Scale each row of fractions to Laurent polynomials with exponents >= 0.
+
+    A row is multiplied by its distinct denominators and by the monomial
+    that lifts its least exponents to 0.  Returns (polys, den_factor, shift)
+    with det(rows) = det(polys) * t^shift / den_factor; row scaling keeps
+    the rank and the solution set of a system.
+    """
+    polys = []
+    den_factor = LaurentPoly.one(num_vars)
+    shift = [0] * num_vars
+    for row in rows:
+        dens = []
+        for x in row:
+            if not x.den.is_one() and not any(x.den == d for d in dens):
+                dens.append(x.den)
+                den_factor = den_factor * x.den
+        # x.den (if nontrivial) is exactly one of dens, so multiplying by
+        # the others gives x * prod(dens)
+        cleared = []
+        for x in row:
+            q = x.num
+            for d in dens:
+                if not (x.den == d):
+                    q = q * d
+            cleared.append(q)
+        mins = [q.min_exponents() for q in cleared if q.terms]
+        low = [min(0, *col) for col in zip(*mins)]
+        if any(low):
+            shift = [a + b for a, b in zip(shift, low)]
+            cleared = [q.shift([-x for x in low]) for q in cleared]
+        polys.append(cleared)
+    return polys, den_factor, shift
+
+
+def _unit_pivot_eliminate(mat, num_vars: int, cols: int):
+    """Sparse elimination on +-monomial pivots, in Markowitz order.
+
+    mat is a list of LaurentPoly rows.  While some live entry is a unit,
+    the one of least Markowitz cost (row nonzeros - 1) * (column nonzeros
+    - 1) is the pivot: (a_rj / p) * pivot row is subtracted from every
+    other row r (one Schur complement step), and the pivot's row and
+    column are dropped.  Returns (unit, count, core): count pivots were
+    taken, the dense core holds the live rows and columns left, and
+    det(mat) = unit * det(core) when mat is square (unit carries each
+    pivot's sign (-1)^(i+j) at its live position), rank(mat) = count +
+    rank(core).
+    """
+    rows = {i: {j: p for j, p in enumerate(row) if not p.is_zero()}
+            for i, row in enumerate(mat)}
+    col_rows = {j: set() for j in range(cols)}
+    for i, row in rows.items():
+        for j in row:
+            col_rows[j].add(i)
+    unit = LaurentPoly.one(num_vars)
+    count = 0
+    while True:
+        best = None
+        for i, row in rows.items():
+            for j, p in row.items():
+                if len(p.terms) == 1 and abs(next(iter(p.terms.values()))) == 1:
+                    cost = (len(row) - 1) * (len(col_rows[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+        if best is None:
+            break
+        _, i, j = best
+        position = sum(r < i for r in rows) + sum(c < j for c in col_rows)
+        pivot_row = rows.pop(i)
+        p = pivot_row.pop(j)
+        unit = unit * (-p if position % 2 else p)
+        inverse = p ** -1
+        for r in col_rows.pop(j) - {i}:
+            row = rows[r]
+            f = row.pop(j) * inverse
+            for c, v in pivot_row.items():
+                x = row.get(c)
+                x = -(f * v) if x is None else x - f * v
+                if x.is_zero():
+                    del row[c]
+                    col_rows[c].discard(r)
+                else:
+                    row[c] = x
+                    col_rows[c].add(r)
+        for c in pivot_row:
+            col_rows[c].discard(i)
+        count += 1
+    zero = LaurentPoly.zero(num_vars)
+    core = [[row.get(j, zero) for j in sorted(col_rows)] for _, row in sorted(rows.items())]
+    return unit, count, core
+
+
 def det(M: RatMatrix) -> RatFunc:
-    """Determinant over F via row denominator clearing + Bareiss elimination."""
+    """Determinant over F: det = unit * det(core) / (row denominators).
+
+    Rows are cleared of denominators, unit pivots are eliminated sparsely
+    (_unit_pivot_eliminate), and only the leftover core goes through
+    Bareiss elimination.
+    """
     if M.rows != M.cols:
         raise ShapeError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return RatFunc.one(M.num_vars)
-    cleared = []
-    den_factor = LaurentPoly.one(M.num_vars)
-    shift_acc = [0] * M.num_vars
-    for i in range(n):
-        polys, factor = _clear_row(M.row(i), M.num_vars)
-        polys, neg = _row_to_nonneg(polys)
-        if neg is not None:
-            shift_acc = [a + b for a, b in zip(shift_acc, neg)]
-        den_factor = den_factor * factor
-        cleared.append(polys)
-    if n <= 2:
-        if n == 1:
-            d = cleared[0][0]
-        else:
-            d = cleared[0][0] * cleared[1][1] - cleared[0][1] * cleared[1][0]
-        sign = 1
-    else:
-        sign, _pivots, r = _bareiss_eliminate(cleared)
-        if r < n:
-            return RatFunc.zero(M.num_vars)
-        d = cleared[n - 1][n - 1]
-    if d.is_zero():
-        return RatFunc.zero(M.num_vars)
-    if sign < 0:
-        d = -d
-    d = d.shift(shift_acc)
-    return RatFunc(d, den_factor)
+    nv = M.num_vars
+    cleared, den_factor, shift = _cleared_rows(M.entries, nv)
+    d, _count, core = _unit_pivot_eliminate(cleared, nv, M.cols)
+    if core:
+        sign, _pivots, r = _bareiss_eliminate(core)
+        if r < len(core):
+            return RatFunc.zero(nv)
+        d = d * (core[-1][-1] if sign > 0 else -core[-1][-1])
+    return RatFunc(d.shift(shift), den_factor)
 
 
 def _solve_dense(M: RatMatrix, B: RatMatrix) -> RatMatrix:
@@ -909,12 +941,8 @@ def _solve_dense(M: RatMatrix, B: RatMatrix) -> RatMatrix:
     if n == 0:
         return RatMatrix(nv, [])
     width = n + B.cols
-    # scaling an equation by a nonzero polynomial preserves the solution set
-    aug = []
-    for i in range(n):
-        polys, _factor = _clear_row(list(M.row(i)) + list(B.row(i)), nv)
-        polys, _neg = _row_to_nonneg(polys)
-        aug.append(polys)
+    aug, _den, _shift = _cleared_rows(
+        [M.entries[i] + B.entries[i] for i in range(n)], nv)
     prev = None
     for k in range(n):
         pivot_row = None
@@ -1086,27 +1114,17 @@ def solve(M: RatMatrix, B: RatMatrix) -> RatMatrix:
 
 
 def rank(M: RatMatrix) -> int:
-    """Rank over F.  Row scaling by denominators is rank-preserving."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    cleared = []
-    for i in range(M.rows):
-        polys, _ = _clear_row(M.row(i), M.num_vars)
-        polys, _ = _row_to_nonneg(polys)
-        cleared.append(polys)
-    _, _, r = _bareiss_eliminate(cleared)
-    return r
+    """Rank over F: unit pivots (_unit_pivot_eliminate) plus rank(core)."""
+    cleared, _den, _shift = _cleared_rows(M.entries, M.num_vars)
+    _unit, count, core = _unit_pivot_eliminate(cleared, M.num_vars, M.cols)
+    return count + (_bareiss_eliminate(core)[2] if core else 0)
 
 
 def left_kernel_vector(M: RatMatrix):
     """A nonzero vector u with u M = 0, or None if the left kernel is trivial."""
     t = M.transpose()
     n = t.cols
-    cleared = []
-    for i in range(t.rows):
-        polys, _ = _clear_row(t.row(i), t.num_vars)
-        polys, _ = _row_to_nonneg(polys)
-        cleared.append(polys)
+    cleared, _den, _shift = _cleared_rows(t.entries, t.num_vars)
     original = [row[:] for row in cleared]
     _, pivots, r = _bareiss_eliminate(cleared)
     if r >= n:

@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from stringlinks import algebra
 from stringlinks.algebra import SingularMatrixError, _solve_dense
 
 from stringlinks import (
     LaurentPoly,
+    fox_of_word,
     from_braid_word,
     gassner,
     RatFunc,
@@ -22,6 +25,7 @@ from stringlinks import (
     rank,
     solve,
     taylor_expand,
+    torsion,
 )
 
 
@@ -143,12 +147,12 @@ class TestRatMatrix:
             solve(M, RatMatrix.identity(1, 2))
 
 
-def _random_poly(rng, monomial=False, nv=2):
+def _random_poly(rng, monomial=False, nv=2, unit=False):
     def exps():
         return tuple(rng.randint(-1, 1) for _ in range(nv))
 
     if monomial:
-        return LaurentPoly.monomial(nv, exps(), rng.choice([1, -1, 2]))
+        return LaurentPoly.monomial(nv, exps(), rng.choice([1, -1] if unit else [1, -1, 2]))
     terms = {exps(): rng.randint(-2, 2) for _ in range(2)}
     p = LaurentPoly(nv, terms)
     return p if p.terms else LaurentPoly.one(nv) - t(0)
@@ -244,6 +248,157 @@ class TestBlockTriangularSolve:
         g = gassner(from_braid_word(3, [1, -2, 1, 1, -2, 2, -1, -1]))
         cells = g.entries.entries + g.Z.entries
         assert all(x.den.is_one() for row in cells for x in row)
+
+
+def _laplace_det(M):
+    """Cofactor expansion along the first row: an independent reference."""
+    if M.rows == 0:
+        return RatFunc.one(M.num_vars)
+    total = RatFunc.zero(M.num_vars)
+    for j in range(M.cols):
+        if M[0, j].is_zero():
+            continue
+        minor = RatMatrix(M.num_vars, [[M[r, c] for c in range(M.cols) if c != j]
+                                       for r in range(1, M.rows)])
+        term = M[0, j] * _laplace_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _minor_rank(M):
+    """The size of the largest nonzero minor, by cofactor expansion."""
+    for k in range(min(M.rows, M.cols), 0, -1):
+        for rows in combinations(range(M.rows), k):
+            for cols in combinations(range(M.cols), k):
+                if not _laplace_det(M.submatrix(rows, cols)).is_zero():
+                    return k
+    return 0
+
+
+def _fox_like(rng, n):
+    """Rows with a +-monomial in a distinct column each, one more +-monomial
+    and a binomial 1 - t^e, like a Wirtinger relation's Fox derivatives."""
+    zero = RatFunc.zero(2)
+    M = [[zero] * n for _ in range(n)]
+    cols = list(range(n))
+    rng.shuffle(cols)
+    for i, j in enumerate(cols):
+        M[i][j] = RatFunc(_random_poly(rng, monomial=True, unit=True))
+        k, m = rng.sample(range(n), 2)
+        M[i][k] = M[i][k] + RatFunc(_random_poly(rng, monomial=True, unit=True))
+        M[i][m] = M[i][m] + RatFunc(LaurentPoly.one(2) - _random_poly(rng, True, unit=True))
+    return RatMatrix(2, M)
+
+
+def _random_matrix(rng, rows, cols, monomial=0.5, fractions=False, density=0.6):
+    zero = RatFunc.zero(2)
+    return RatMatrix(2, [[_random_entry(rng, rng.random() < monomial, fractions)
+                          if rng.random() < density else zero for _ in range(cols)]
+                         for _ in range(rows)])
+
+
+def _dependent_rows(rng, M, extra):
+    """M with `extra` more rows, each a combination of two rows of M."""
+    rows = [list(r) for r in M.entries]
+    for _ in range(extra):
+        a, b = rng.sample(range(M.rows), 2)
+        x, y = _random_entry(rng), _random_entry(rng)
+        rows.insert(rng.randrange(len(rows) + 1),
+                    [x * p + y * q for p, q in zip(M.entries[a], M.entries[b])])
+    return RatMatrix(2, rows)
+
+
+class TestUnitPivotElimination:
+    """det and rank against cofactor expansion on seeded random matrices."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fox_like_rows(self, seed):
+        rng = random.Random(300 + seed)
+        M = _fox_like(rng, rng.randint(3, 6))
+        assert det(M) == _laplace_det(M)
+        assert rank(M) == _minor_rank(M)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_monomial_entries(self, seed):
+        rng = random.Random(400 + seed)
+        M = _random_matrix(rng, 4, 4, monomial=0.0)
+        assert det(M) == _laplace_det(M)
+        assert rank(M) == _minor_rank(M)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_entries_with_negative_exponents(self, seed):
+        # monomials with coefficient 2 are no unit pivots; exponents run -1..1
+        rng = random.Random(500 + seed)
+        M = _random_matrix(rng, 6, 6, monomial=0.7, density=0.45)
+        assert any(m < 0 for row in M.entries for x in row if x.num.terms
+                   for m in x.num.min_exponents())
+        assert det(M) == _laplace_det(M)
+        assert rank(M) == _minor_rank(M)
+
+    def test_non_unit_monomials_only(self):
+        rng = random.Random(550)
+        M = RatMatrix(2, [[RatFunc(LaurentPoly.monomial(2, (rng.randint(-1, 1), 1),
+                                                        rng.choice([2, -3])))
+                           for _ in range(4)] for _ in range(4)])
+        assert det(M) == _laplace_det(M)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ratfunc_entries(self, seed):
+        rng = random.Random(600 + seed)
+        M = _random_matrix(rng, 4, 4, fractions=True)
+        assert any(not x.den.is_one() for row in M.entries for x in row)
+        assert det(M) == _laplace_det(M)
+        assert rank(M) == _minor_rank(M)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_deficient(self, seed):
+        rng = random.Random(700 + seed)
+        base = _fox_like(rng, 4) if seed % 2 else _random_matrix(rng, 4, 5, density=0.8)
+        M = _dependent_rows(rng, base, 2)
+        assert rank(M) == _minor_rank(M) == rank(base)
+        square = M.submatrix(range(M.cols), range(M.cols))
+        assert det(square) == _laplace_det(square)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (1, 4), (4, 1)])
+    def test_rectangular(self, shape):
+        rng = random.Random(800 + shape[0])
+        M = _random_matrix(rng, *shape)
+        assert rank(M) == _minor_rank(M)
+        assert rank(M.transpose()) == rank(M)
+
+    def test_permuted_unit_triangular_sign(self):
+        # P L Q with L unit lower triangular: det = sgn(P) sgn(Q) prod(diag)
+        rng = random.Random(900)
+        n = 5
+        for _ in range(30):
+            perm_rows, perm_cols = rng.sample(range(n), n), rng.sample(range(n), n)
+            L = [[RatFunc(_random_poly(rng, monomial=True, unit=True)) if i == j else
+                  (_random_entry(rng) if j < i else RatFunc.zero(2)) for j in range(n)]
+                 for i in range(n)]
+            diag = RatFunc.one(2)
+            for i in range(n):
+                diag = diag * L[i][i]
+            M = RatMatrix(2, [[L[i][j] for j in perm_cols] for i in perm_rows])
+            sign = _parity(perm_rows) * _parity(perm_cols)
+            assert det(M) == (diag if sign > 0 else -diag) == _laplace_det(M)
+            assert rank(M) == n
+
+    def test_braid_torsion_never_reaches_bareiss(self, monkeypatch):
+        def dense(mat):
+            raise AssertionError("unit pivots left a core")
+
+        monkeypatch.setattr(algebra, "_bareiss_eliminate", dense)
+        F = fox_of_word(from_braid_word(3, [1, -2, 1, 1, -2, 2, -1, -1]))
+        assert torsion(F) == LaurentPoly.one(F.num_vars)
+        assert rank(F.A.hstack(F.B)) == F.c
+
+
+def _parity(perm):
+    sign = 1
+    for a, b in combinations(range(len(perm)), 2):
+        if perm[a] > perm[b]:
+            sign = -sign
+    return sign
 
 
 class TestSeries:

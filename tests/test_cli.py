@@ -115,6 +115,22 @@ class TestBadArguments:
             "coefficient matrix is structurally singular"
         )
 
+    def test_closure_of_color_permuting_word_is_usage_error(self, tmp_path, capsys):
+        swap = tmp_path / "swap.sl"
+        swap.write_text("sl 2\nx 1 +\nend\n")
+        for command in ("report", "alexander"):
+            code, out, err = invoke([command, str(swap)], capsys)
+            assert code == 1
+            assert err.splitlines() == [
+                "error: closure undefined: bottom colors (1, 2) != top colors (2, 1)"]
+
+    def test_knot_closure_of_non_pure_word_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            ["alexander", str(CORPUS_DIR / "nonpure3_cycle.sl"), "--braid-b", "s1"], capsys
+        )
+        assert code == 1
+        assert err.splitlines() == ["error: knot-closure relation needs a pure word"]
+
     def test_zero_division_is_violation(self, monkeypatch, capsys):
         def divide(fox):
             raise ZeroDivisionError("division by the zero polynomial")
@@ -123,6 +139,50 @@ class TestBadArguments:
         code, out, err = invoke(["torsion", HOPF], capsys)
         assert code == 2
         assert "Traceback" not in err
+
+
+SUBCOMMANDS = ("gassner", "burau", "reduce", "alexander", "torsion", "report",
+               "twist", "taylor", "altsum", "walkcheck", "spectrum", "verify")
+
+
+class TestBadInput:
+    """Every subcommand turns an unreadable input into one `error:` line, exit 1."""
+
+    def test_every_subcommand_is_covered(self):
+        assert set(SUBCOMMANDS) == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_malformed_file(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.sl"
+        bad.write_text("sl 2\nx 1 sideways\nend\n")
+        code, out, err = invoke([command, str(bad)], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_missing_file(self, command, tmp_path, capsys):
+        code, out, err = invoke([command, str(tmp_path / "missing.sl")], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+PINNED = json.loads((Path(__file__).resolve().parent / "data" / "corpus_outputs.json").read_text())
+
+
+class TestPinnedOutputs:
+    """report --json and torsion --json on the corpus, byte for byte as recorded."""
+
+    def test_every_corpus_file_is_pinned(self):
+        assert sorted(PINNED) == sorted(p.name for p in CORPUS_DIR.glob("*.sl"))
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_corpus_output_unchanged(self, name, capsys):
+        for command, expected in sorted(PINNED[name].items()):
+            code, out, err = invoke([command, "--json", str(CORPUS_DIR / name)], capsys)
+            assert code == 0
+            assert out == expected
 
 
 class TestJson:
