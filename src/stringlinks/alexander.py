@@ -11,13 +11,22 @@ matrix by
 
 with Delta_L computed from minors of I - gamma(L).  Every identity here
 is checked exactly over the rational function field.
+
+full_report traces the word, builds (A B C) and solves it once; the
+resulting GassnerMatrix record carries the diagram, the blocks and the
+solution.  Its one-variable link
+polynomial comes from collapsing the colored gamma (t_i -> t), which is
+exact because det(A B) augments to +-1, so no denominator collapses to
+zero.  Delta_closure is still taken from V's own minors, never as
+tau * Delta_L, so the factorization check compares two separately
+computed sides.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     LaurentPoly,
@@ -30,8 +39,8 @@ from .algebra import (
     rank,
 )
 from .diagram import MorseError, MorseWord, from_braid_word, trace
-from .gassner import GassnerMatrix, burau, fox_of_word, gassner, reduce
-from .wirtinger import FoxMatrix
+from .gassner import GassnerMatrix, _solved, burau, fox_of_word, reduce
+from .wirtinger import FoxMatrix, fox_matrix, presentation
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,7 @@ class AlexReport:
     multi_factorization_ok: Optional[bool]
     one_factorization_ok: bool
     decomposition_residual_zero: bool
+    record: Optional[GassnerMatrix] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         from .algebra import default_var_names
@@ -256,20 +266,24 @@ def torsion(F: FoxMatrix) -> LaurentPoly:
     return normalize_unit(tau)
 
 
+def _collapsed(M: RatMatrix) -> RatMatrix:
+    """M with every variable collapsed to t.
+
+    On gamma this is the Burau matrix: the specialization never hits a
+    pole, because det(A B) augments to +-1.
+    """
+    return RatMatrix(1, [[x.collapse_vars() for x in row] for row in M.entries])
+
+
 def _one_var_closure(V: ClosureMatrix) -> LaurentPoly:
     """det of the (1,1) minor of V with every variable collapsed to t."""
-    collapsed = RatMatrix(
-        1,
-        [[V.V[i, j].collapse_vars() for j in range(V.c)] for i in range(V.c)],
-    )
-    minor = det(collapsed.minor_matrix(0, 0))
-    p = _as_laurent(minor, "one-variable closure polynomial")
-    return normalize_unit(p)
+    minor = det(_collapsed(V.V).minor_matrix(0, 0))
+    return normalize_unit(_as_laurent(minor, "one-variable closure polynomial"))
 
 
-def _one_var_link(word: MorseWord) -> RatFunc:
+def _one_var_link(g: GassnerMatrix) -> RatFunc:
     """t * det((I - burau)(1,1)) in the single variable t."""
-    b = burau(word)
+    b = _collapsed(g.entries)
     I = RatMatrix.identity(1, b.rows)
     minor = det((I - b).minor_matrix(0, 0))
     return RatFunc(LaurentPoly.var(1, 0)) * minor
@@ -289,11 +303,19 @@ def _closure_components(perm: Sequence[int]) -> int:
     return count
 
 
-def full_report(L: MorseWord) -> AlexReport:
-    diagram = trace(L)
-    F = fox_of_word(L)
-    V = closure_matrix(F)
-    g = gassner(L)
+def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
+    """Every Alexander-type invariant of a word, or of the record of one."""
+    if isinstance(L, GassnerMatrix):
+        if L.fox is None:
+            raise VerificationError("gassner matrix carries no Fox blocks")
+        g = L
+        V = closure_matrix(g.fox)
+    else:
+        diagram = trace(L)
+        F = fox_matrix(presentation(diagram))
+        V = closure_matrix(F)
+        g = _solved(diagram, F)
+    diagram, F = g.diagram, g.fox
     pure = diagram.is_pure
     nv = F.num_vars
 
@@ -304,7 +326,7 @@ def full_report(L: MorseWord) -> AlexReport:
     # The minor/(1 - t) closure formula is a multi-component statement;
     # it needs >= 2 closure components carrying distinct variables.
     components = _closure_components(diagram.perm)
-    faithful = len(set(L.colors)) == components
+    faithful = len(set(g.colors)) == components
 
     delta_closure = None
     delta_link = None
@@ -321,13 +343,13 @@ def full_report(L: MorseWord) -> AlexReport:
         _as_laurent(RatFunc(tau).collapse_vars(), "one-variable torsion")
     )
     delta_closure_one = _one_var_closure(V)
-    delta_link_one = _one_var_link(L)
+    delta_link_one = _one_var_link(g)
     one_ok = equal_up_to_units(
         RatFunc(delta_closure_one), RatFunc(tau_one) * delta_link_one
     )
 
     return AlexReport(
-        n=L.n,
+        n=g.n,
         num_vars=nv,
         pure=pure,
         tau=tau,
@@ -339,6 +361,7 @@ def full_report(L: MorseWord) -> AlexReport:
         multi_factorization_ok=multi_ok,
         one_factorization_ok=one_ok,
         decomposition_residual_zero=residual_zero,
+        record=g,
     )
 
 
@@ -356,19 +379,21 @@ def knot_closure_relation(
     rather than decided.
     """
     n = L.n
-    if not trace(L).is_pure:
+    diagram = trace(L)
+    if not diagram.is_pure:
         raise MorseError("knot-closure relation needs a pure word")
+    g = _solved(diagram, fox_matrix(presentation(diagram)))
     if B is None:
         B = list(range(1, n))
     B = list(B)
 
     braid = from_braid_word(n, B) if B else MorseWord(n, L.colors, ())
-    lhs = _one_var_closure(closure_matrix(fox_of_word(L)))
+    lhs = _one_var_closure(closure_matrix(g.fox))
 
     combined = MorseWord(n, braid.colors, tuple(L.events) + tuple(braid.events))
     rhs_closure = _one_var_closure(closure_matrix(fox_of_word(combined)))
 
-    rbL = reduce(burau(L)).entries
+    rbL = reduce(_collapsed(g.entries)).entries
     rbB = reduce(burau(braid)).entries
     I = RatMatrix.identity(1, n - 1)
     corr_num = det(I - rbL)

@@ -15,14 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .alexander import (
-    closure_matrix,
-    equal_up_to_units,
-    factorization_identity,
-    full_report,
-    knot_closure_relation,
-    torsion,
-)
+from .alexander import full_report, knot_closure_relation, torsion
 from .algebra import (
     AlgebraError,
     PoleError,
@@ -32,15 +25,14 @@ from .algebra import (
 from .diagram import (
     MorseError,
     MorseWord,
+    _braid_generators,
     add_twist,
     parse_morse,
     stack,
-    trace,
 )
 from .finitetype import alternating_sum, flip_problem, taylor_gassner
 from .gassner import (
     burau,
-    default_angles,
     fixes_weight_vectors,
     fox_of_word,
     gassner,
@@ -63,28 +55,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _parse_braid_tokens(text: str, n: int) -> List[int]:
-    gens = []
-    for tok in text.split():
-        inverse = tok.endswith("'")
-        core = tok[:-1] if inverse else tok
-        if core.startswith("s"):
-            core = core[1:]
-        try:
-            i = int(core)
-        except ValueError:
-            raise MorseError("bad braid generator %r" % tok)
-        if not 1 <= i <= n - 1:
-            raise MorseError("generator %r out of range for n=%d" % (tok, n))
-        gens.append(-i if inverse else i)
-    return gens
-
-
-def _parse_int_list(text: str) -> List[int]:
+def _parse_list(text: str, kind, name: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise MorseError("expected a comma-separated integer list, got %r" % text)
+        raise MorseError("expected a comma-separated %s list, got %r" % (name, text))
 
 
 def _nonneg_int(text: str) -> int:
@@ -97,13 +72,6 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _parse_float_list(text: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise MorseError("expected a comma-separated float list, got %r" % text)
-
-
 def _matrix_text(data: dict) -> str:
     rows = data["entries"]
     if not rows:
@@ -113,10 +81,6 @@ def _matrix_text(data: dict) -> str:
         "[ " + "  ".join(cell.ljust(width) for cell in row) + " ]"
         for row in rows
     )
-
-
-def _series_text(series) -> str:
-    return _matrix_text(series.to_json())
 
 
 def _emit_matrix(g, as_json: bool) -> str:
@@ -156,7 +120,7 @@ def _cmd_alexander(word: MorseWord, opts) -> str:
         "delta_link_one": data["delta_link_one"],
     }
     if opts.braid_b is not None:
-        gens = _parse_braid_tokens(opts.braid_b, word.n)
+        gens = _braid_generators(opts.braid_b, word.n)
         check = knot_closure_relation(word, gens)
         out["knot_closure"] = {
             "ok": check.ok,
@@ -170,11 +134,7 @@ def _cmd_alexander(word: MorseWord, opts) -> str:
             )
     if opts.json:
         return json.dumps(out, indent=2)
-    lines = ["%-18s  %s" % (key, value) for key, value in out.items()
-             if key != "knot_closure"]
-    if "knot_closure" in out:
-        lines.append("%-18s  %s" % ("knot_closure", out["knot_closure"]))
-    return "\n".join(lines)
+    return "\n".join("%-18s  %s" % item for item in out.items())
 
 
 def _cmd_report(word: MorseWord, opts) -> str:
@@ -204,13 +164,13 @@ def _cmd_taylor(word: MorseWord, opts) -> str:
     series = taylor_gassner(word, order)
     if opts.json:
         return json.dumps(series.to_json(), indent=2)
-    return _series_text(series)
+    return _matrix_text(series.to_json())
 
 
 def _cmd_altsum(word: MorseWord, opts) -> str:
     if not opts.flips:
         raise MorseError("altsum needs --flips with at least one index")
-    flips = _parse_int_list(opts.flips)
+    flips = _parse_list(opts.flips, int, "integer")
     problem = flip_problem(word, flips)
     if problem is not None:
         raise MorseError(problem)
@@ -229,12 +189,12 @@ def _cmd_altsum(word: MorseWord, opts) -> str:
         data["min_total_degree"] = lowest
         return json.dumps(data, indent=2)
     head = "min total degree %s (>= %d as required)" % (lowest, k)
-    return head + "\n" + _series_text(series)
+    return head + "\n" + _matrix_text(series.to_json())
 
 
 def _cmd_walkcheck(word: MorseWord, opts) -> str:
     g = gassner(word)
-    walked = walk_matrix(trace(word))
+    walked = walk_matrix(g.diagram)
     if walked != g.entries:
         raise VerificationError("walk matrix disagrees with the Fox matrix")
     msg = {"agree": True, "n": g.n}
@@ -245,7 +205,7 @@ def _cmd_spectrum(word: MorseWord, opts) -> str:
     g = gassner(word)
     gt = reduce(g)
     if opts.angles is not None:
-        angles = _parse_float_list(opts.angles)
+        angles = _parse_list(opts.angles, float, "float")
         if len(angles) != g.num_vars:
             raise MorseError(
                 "need %d angles (one per variable), got %d"
@@ -257,7 +217,7 @@ def _cmd_spectrum(word: MorseWord, opts) -> str:
             raise MorseError("angles %s hit a pole of the reduced matrix"
                              % opts.angles)
     else:
-        report = unitary_spectrum_check(gt, default_angles(g.n, g.num_vars))
+        report = unitary_spectrum_check(gt)
     if not report.ok:
         raise VerificationError(
             "spectrum off the unit circle: max | |lambda| - 1 | = %.3e"
@@ -282,20 +242,14 @@ def _cmd_spectrum(word: MorseWord, opts) -> str:
 def _verify_checks(word: MorseWord) -> List[Tuple[str, Optional[bool], str]]:
     """Run the identity suite; each entry is (name, ok-or-None, detail)."""
     checks: List[Tuple[str, Optional[bool], str]] = []
+    # gassner only accepts words whose top colors match their bottom
+    # colors, so every word it returns a record for stacks on itself.
     g = gassner(word)
-    diagram = trace(word)
-    stackable = word.colors == diagram.top_colors
+    doubled = gassner(stack(word, word))
+    ok = doubled.entries == g.entries * g.entries
+    checks.append(("stacking multiplicativity", ok, "gamma(LL) = gamma(L)^2"))
 
-    if stackable:
-        doubled = gassner(stack(word, word))
-        ok = doubled.entries == g.entries * g.entries
-        checks.append(("stacking multiplicativity", ok, "gamma(LL) = gamma(L)^2"))
-    else:
-        checks.append(
-            ("stacking multiplicativity", None, "word not stackable on itself")
-        )
-
-    if diagram.is_pure:
+    if g.diagram.is_pure:
         fixes_col, fixes_row = fixes_weight_vectors(g)
         checks.append(
             ("weight column fixed", fixes_col, "gamma w = w, w_i = 1 - t_{c_i}")
@@ -308,14 +262,11 @@ def _verify_checks(word: MorseWord) -> List[Tuple[str, Optional[bool], str]]:
         checks.append(("weight column fixed", None, "needs a pure word"))
         checks.append(("weight row fixed", None, "needs a pure word"))
 
-    F = fox_of_word(word)
-    residual = factorization_identity(F, g)
+    report = full_report(g)
     checks.append(
-        ("closure matrix factorization", residual.is_zero(),
+        ("closure matrix factorization", report.decomposition_residual_zero,
          "V = (A B) * blocks of gamma")
     )
-
-    report = full_report(word)
     if report.multi_factorization_ok is not None:
         checks.append(
             ("torsion factors closure polynomial",
@@ -326,7 +277,7 @@ def _verify_checks(word: MorseWord) -> List[Tuple[str, Optional[bool], str]]:
          report.one_factorization_ok, "collapsed to a single variable")
     )
 
-    walked = walk_matrix(diagram)
+    walked = walk_matrix(g.diagram)
     checks.append(
         ("walk oracle agreement", walked == g.entries,
          "walk-sum matrix equals the Fox matrix")
@@ -375,14 +326,10 @@ _HANDLERS = {
 }
 
 
-def _load_word(path: str) -> MorseWord:
-    return parse_morse(Path(path).read_text())
-
-
 def _process_file(path: str, opts_dict: dict) -> Tuple[str, int, str]:
     opts = argparse.Namespace(**opts_dict)
     try:
-        word = _load_word(path)
+        word = parse_morse(Path(path).read_text())
         return path, EXIT_OK, _HANDLERS[opts.subcommand](word, opts)
     except (MorseError, OSError) as exc:
         return path, EXIT_USAGE, "error: %s" % exc

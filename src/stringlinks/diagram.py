@@ -545,8 +545,13 @@ def parse_braid_line(text: str, line_no: int = 1) -> MorseWord:
         n = int(parts[1])
     except ValueError:
         raise MorseError("bad strand count %r" % parts[1], line=line_no)
+    return from_braid_word(n, _braid_generators(rest, n, line_no))
+
+
+def _braid_generators(text: str, n: int, line_no: Optional[int] = None) -> List[int]:
+    """Signed generator indices of `s1 s2' ...`: s<i> is +i, s<i>' is -i."""
     gens = []
-    for tok in rest.split():
+    for tok in text.split():
         inverse = tok.endswith("'")
         core = tok[:-1] if inverse else tok
         if not core.startswith("s"):
@@ -560,7 +565,7 @@ def parse_braid_line(text: str, line_no: int = 1) -> MorseWord:
                 "generator %r out of range for n=%d" % (tok, n), line=line_no
             )
         gens.append(-i if inverse else i)
-    return from_braid_word(n, gens)
+    return gens
 
 
 def parse_morse(text: str) -> MorseWord:

@@ -3,18 +3,24 @@
 gamma(L) is obtained by solving (A B) X = -C for the Wirtinger-Fox blocks
 of a traced diagram and keeping the top n rows of X; the remaining rows
 (the interior-arc block Z) are kept alongside because the closure-matrix
-factorization needs them.  Both under-arc coefficients of every row are
-+-monomials, so the block-triangular `algebra.solve` resolves braid
-portions arc by arc with unit pivots, and gamma and Z of a braid are
-Laurent polynomials; only loops closed by cups and caps leave a cyclic
-block for dense elimination.  Columns follow the top-meridian basis: column
-j is the solution with top labels delta_{jk}, so stacking words
-multiplies matrices in diagram order.
+factorization needs them.  The GassnerMatrix that `gassner` returns is
+the per-word record: it also carries the traced Diagram and the
+FoxMatrix it solved, so the closure matrix, torsion, link polynomials
+and the walk oracle read them instead of tracing and solving the word
+again.  Both under-arc coefficients of every row are +-monomials, so
+the block-triangular `algebra.solve` resolves braid portions arc by arc
+with unit pivots, and gamma and Z of a braid are Laurent polynomials;
+only loops closed by cups and caps leave a cyclic block for dense
+elimination.  Columns follow the top-meridian basis: column j is the
+solution with top labels delta_{jk}, so stacking words multiplies
+matrices in diagram order.
 
 Burau is the same solve with every strand colored 1, which is defined for
-non-pure words as well.  The reduced matrix is the induced map on the
-quotient of F^n by the canonical 1-eigenvector w = (1 - t_{color(i)})_i,
-written in the basis of the images of e_2..e_n.
+words that permute colors as well; for a colorable word it equals gamma
+with every t_i -> t, which is how full_report obtains it.  The reduced
+matrix is the induced map on the quotient of F^n by the canonical
+1-eigenvector w = (1 - t_{color(i)})_i, written in the basis of the
+images of e_2..e_n.
 
 Numeric checks evaluate at t_j = exp(2 pi i a_j) with small positive
 angles, where the reduced representation is unitary for a suitable
@@ -27,13 +33,11 @@ polynomial exactly when the symbolic object is wanted.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     LaurentPoly,
-    PoleError,
     RatFunc,
     RatMatrix,
     VerificationError,
@@ -49,12 +53,20 @@ from .wirtinger import FoxMatrix, fox_matrix, presentation
 
 @dataclass(frozen=True)
 class GassnerMatrix:
+    """gamma and Z of one word, with the diagram and Fox blocks they came from.
+
+    diagram and fox are None for a closed form such as full_twist; they
+    take no part in equality.
+    """
+
     n: int
     num_vars: int
     entries: RatMatrix
     Z: Optional[RatMatrix]
     colors: Tuple[int, ...]
     top_colors: Tuple[int, ...]
+    diagram: Optional[Diagram] = field(default=None, compare=False, repr=False)
+    fox: Optional[FoxMatrix] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,15 +117,21 @@ def gassner(word: MorseWord) -> GassnerMatrix:
             "gassner needs matching top and bottom colors in every slot; "
             "use burau for words that permute colors"
         )
-    fox = fox_matrix(presentation(diagram))
+    return _solved(diagram, fox_matrix(presentation(diagram)))
+
+
+def _solved(diagram: Diagram, fox: FoxMatrix) -> GassnerMatrix:
+    """The record of a traced diagram whose Fox blocks are already built."""
     gamma, Z = solve_fox_system(fox)
     return GassnerMatrix(
-        n=word.n,
+        n=diagram.n,
         num_vars=fox.num_vars,
         entries=gamma,
         Z=Z,
         colors=diagram.colors,
         top_colors=diagram.top_colors,
+        diagram=diagram,
+        fox=fox,
     )
 
 

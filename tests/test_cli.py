@@ -103,6 +103,16 @@ class TestBadArguments:
             run(["altsum", HOPF, "--flips", "1", "--order", "-2"])
         assert exc.value.code == 1
 
+    def test_braid_b_generators(self, capsys):
+        code, out, err = invoke(["alexander", HOPF, "--braid-b", "s1"], capsys)
+        assert code == 0
+        for bad, message in (("s9", "generator 's9' out of range for n=2"),
+                             ("x1", "bad braid generator 'x1'"),
+                             ("1", "bad braid generator '1'")):
+            code, out, err = invoke(["alexander", HOPF, "--braid-b", bad], capsys)
+            assert code == 1
+            assert err.splitlines() == ["error: " + message]
+
     def test_algebra_error_is_one_line_violation(self, monkeypatch, capsys):
         def singular(word):
             raise SingularMatrixError("coefficient matrix is structurally singular")

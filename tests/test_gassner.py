@@ -31,7 +31,7 @@ from stringlinks import (
 from stringlinks.diagram import CrossNeg, CrossPos, MorseWord
 from stringlinks.gassner import _star
 
-from conftest import random_pure_braids
+from conftest import corpus_words, random_pure_braids, random_twisted_tangles
 
 
 def rf(text, nv=2):
@@ -132,8 +132,12 @@ class TestInvariance:
 
 
 class TestOneVariable:
-    def test_burau_is_collapsed_gassner_for_pure_words(self):
-        for word in random_pure_braids(5, seed=9):
+    def test_burau_is_collapsed_gassner(self):
+        # Colorable words, pure or not, with and without a cyclic Fox core:
+        # the monochrome solve agrees with gamma specialized at t_i -> t.
+        words = [word for _, word in corpus_words()]
+        words += random_pure_braids(5, seed=9) + random_twisted_tangles(4, seed=9)
+        for word in words:
             g = gassner(word)
             b = burau(word)
             for i in range(g.n):
