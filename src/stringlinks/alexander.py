@@ -13,13 +13,13 @@ with Delta_L computed from minors of I - gamma(L).  Every identity here
 is checked exactly over the rational function field.
 
 full_report traces the word, builds (A B C) and solves it once; the
-resulting GassnerMatrix record carries the diagram, the blocks and the
-solution.  Its one-variable link
-polynomial comes from collapsing the colored gamma (t_i -> t), which is
-exact because det(A B) augments to +-1, so no denominator collapses to
-zero.  Delta_closure is still taken from V's own minors, never as
-tau * Delta_L, so the factorization check compares two separately
-computed sides.
+resulting GassnerMatrix record carries the word, the diagram, the blocks
+and the solution, and knot_closure_relation reads it too.  Its
+one-variable link polynomial comes from collapsing the colored gamma
+(t_i -> t), which is exact because det(A B) augments to +-1, so no
+denominator collapses to zero.  Delta_closure is still taken from V's
+own minors, never as tau * Delta_L, so the factorization check compares
+two separately computed sides.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
         diagram = trace(L)
         F = fox_matrix(presentation(diagram))
         V = closure_matrix(F)
-        g = _solved(diagram, F)
+        g = _solved(L, diagram, F)
     diagram, F = g.diagram, g.fox
     pure = diagram.is_pure
     nv = F.num_vars
@@ -366,7 +366,7 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
 
 
 def knot_closure_relation(
-    L: MorseWord, B: Optional[Sequence[int]] = None
+    L: Union[MorseWord, GassnerMatrix], B: Optional[Sequence[int]] = None
 ) -> KnotClosureCheck:
     """Compare the closure polynomial of L with that of L stacked with a
     braid B, through the reduced Burau correction
@@ -374,15 +374,22 @@ def knot_closure_relation(
         Delta(closure of L) * det(I - rb(L) rb(B))
             = Delta(closure of L B) * det(I - rb(L))   (up to units).
 
+    L is a word or its record, which is then not traced or solved again.
     B defaults to the cycle braid s_1 s_2 ... s_{n-1}.  A vanishing
     det(I - rb(L) rb(B)) makes the relation degenerate; that is reported
     rather than decided.
     """
-    n = L.n
-    diagram = trace(L)
+    if isinstance(L, GassnerMatrix):
+        if L.word is None:
+            raise VerificationError("gassner matrix carries no word")
+        g, L, diagram = L, L.word, L.diagram
+    else:
+        g, diagram = None, trace(L)
     if not diagram.is_pure:
         raise MorseError("knot-closure relation needs a pure word")
-    g = _solved(diagram, fox_matrix(presentation(diagram)))
+    if g is None:
+        g = _solved(L, diagram, fox_matrix(presentation(diagram)))
+    n = L.n
     if B is None:
         B = list(range(1, n))
     B = list(B)

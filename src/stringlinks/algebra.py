@@ -25,13 +25,17 @@ Conventions:
     are a single division (by an exact inverse monomial for a monomial
     pivot, so Fox systems of braids never leave the Laurent ring); only
     cyclic blocks go through the dense Bareiss Gauss-Jordan.
+  * `taylor_expand` substitutes t_i = 1 - z_i by cached binomial rows of
+    (1 - z_i)^k and divides by the denominator degree by degree in one
+    pass, with `int` coefficients while they are integral.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import comb, gcd
 from typing import Mapping, Sequence
 
 
@@ -1176,27 +1180,17 @@ class TruncatedSeries:
         self.num_vars = num_vars
         self.bound = bound
         clean: dict = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(e)
-                if len(e) != num_vars or any(x < 0 for x in e):
-                    raise AlgebraError(f"bad series exponent {e}")
-                if sum(e) > bound:
-                    continue
-                c = _as_fraction(c)
-                if c != 0:
-                    clean[e] = clean.get(e, Fraction(0)) + c
-                    if clean[e] == 0:
-                        del clean[e]
-        self.terms = clean
+        for e, c in (terms or {}).items():
+            e = tuple(e)
+            if len(e) != num_vars or any(x < 0 for x in e):
+                raise AlgebraError(f"bad series exponent {e}")
+            if sum(e) <= bound:
+                clean[e] = clean.get(e, 0) + _as_fraction(c)
+        self.terms = {e: c for e, c in clean.items() if c}
 
     @staticmethod
     def zero(num_vars: int, bound: int) -> "TruncatedSeries":
         return TruncatedSeries(num_vars, bound, {})
-
-    @staticmethod
-    def one(num_vars: int, bound: int) -> "TruncatedSeries":
-        return TruncatedSeries(num_vars, bound, {(0,) * num_vars: Fraction(1)})
 
     def _check(self, other: "TruncatedSeries"):
         if self.num_vars != other.num_vars or self.bound != other.bound:
@@ -1206,11 +1200,7 @@ class TruncatedSeries:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, 0) + c
         return TruncatedSeries(self.num_vars, self.bound, out)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -1226,20 +1216,10 @@ class TruncatedSeries:
         for ea, ca in self.terms.items():
             da = sum(ea)
             for eb, cb in other.terms.items():
-                if da + sum(eb) > self.bound:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                if da + sum(eb) <= self.bound:
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    out[e] = out.get(e, 0) + ca * cb
         return TruncatedSeries(self.num_vars, self.bound, out)
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = _as_fraction(c)
-        return TruncatedSeries(self.num_vars, self.bound,
-                               {e: cc * c for e, cc in self.terms.items()})
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -1271,66 +1251,72 @@ class TruncatedSeries:
         return LaurentPoly(self.num_vars, self.terms).to_text(var_names)
 
 
-def _poly_to_series(p: LaurentPoly, bound: int) -> TruncatedSeries:
-    """Substitute t_i = 1 - z_i into a Laurent polynomial, truncating."""
-    nv = p.num_vars
-    one_minus = []
-    geom = []
-    for i in range(nv):
-        e = [0] * nv
-        e[i] = 1
-        zi = tuple(e)
-        one_minus.append(TruncatedSeries(nv, bound, {(0,) * nv: 1, zi: -1}))
-        geom.append(TruncatedSeries(nv, bound,
-                                    {tuple(k if j == i else 0 for j in range(nv)): 1
-                                     for k in range(bound + 1)}))
-    # cache powers per variable
-    pow_cache: dict = {}
+@lru_cache(maxsize=4096)
+def _binomial_row(k: int, room: int) -> tuple:
+    """Coefficients of z^0 .. z^room in (1 - z)^k: (-1)^j C(k, j) for
+    k >= 0 (zero past j = k), C(-k + j - 1, j) for k < 0."""
+    if k >= 0:
+        return tuple((-1) ** j * comb(k, j) for j in range(min(k, room) + 1))
+    return tuple(comb(-k + j - 1, j) for j in range(room + 1))
 
-    def var_power(i: int, k: int) -> TruncatedSeries:
-        key = (i, k)
-        if key in pow_cache:
-            return pow_cache[key]
-        base = one_minus[i] if k > 0 else geom[i]
-        result = TruncatedSeries.one(nv, bound)
-        for _ in range(abs(k)):
-            result = result * base
-        pow_cache[key] = result
-        return result
 
-    total = TruncatedSeries.zero(nv, bound)
-    for e, c in p.terms.items():
-        term = TruncatedSeries(nv, bound, {(0,) * nv: c})
-        for i, k in enumerate(e):
-            if k:
-                term = term * var_power(i, k)
-        total = total + term
-    return total
+def _integral(c):
+    """An int for an integral coefficient, else the Fraction itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _substitute(p: LaurentPoly, bound: int) -> dict:
+    """p(1 - z_1, ..., 1 - z_n) to total degree <= bound: one variable at a
+    time, t_i^k becomes the binomial row of (1 - z_i)^k cut at the degree
+    left, and terms that agree on what is left to substitute merge."""
+    cur = {(0, e): _integral(c) for e, c in p.terms.items()}
+    for i in range(p.num_vars):
+        nxt: dict = {}
+        for (spent, e), c in cur.items():
+            head, tail = e[:i], e[i + 1:]
+            for j, a in enumerate(_binomial_row(e[i], bound - spent)):
+                if a:
+                    key = (spent + j, head + (j,) + tail)
+                    nxt[key] = nxt.get(key, 0) + a * c
+        cur = nxt
+    return {e: c for (_, e), c in cur.items() if c}
 
 
 def taylor_expand(r, bound: int) -> TruncatedSeries:
     """Taylor coefficients of a rational function at t_i = 1 (z_i = 1 - t_i).
 
-    The denominator must not vanish at t = 1; 1/den is expanded as a geometric
-    series in (1 - den/den(1)), which has positive valuation.
+    Numerator f and denominator d are substituted in closed form
+    (`_substitute`), then h = f/d is solved degree by degree,
+    h_a = (f_a - sum_{0 != b <= a} d_b h_{a-b}) / d_0 with d_0 = den(1) != 0:
+    each h_a, once final, takes d_b h_a off f_{a+b}.  A denominator of 1
+    skips the quotient.  Coefficients stay `int` while they are integral.
     """
     if isinstance(r, LaurentPoly):
         r = RatFunc(r)
-    c0 = r.den.augment()
-    if c0 == 0:
+    d0 = _integral(r.den.augment())
+    if d0 == 0:
         raise PoleError("denominator vanishes at t_i = 1; Taylor expansion undefined")
-    num_s = _poly_to_series(r.num, bound)
-    den_s = _poly_to_series(r.den, bound).scale(Fraction(1) / c0)
-    # u := 1 - den/c0 has zero constant term, so the geometric series truncates
-    u = TruncatedSeries.one(r.num_vars, bound) - den_s
-    inv = TruncatedSeries.one(r.num_vars, bound)
-    acc = TruncatedSeries.one(r.num_vars, bound)
-    for _ in range(bound):
-        acc = acc * u
-        if acc.is_zero():
-            break
-        inv = inv + acc
-    return num_s * inv.scale(Fraction(1) / c0)
+    if bound < 0:
+        raise AlgebraError("series bound must be >= 0")
+    h = _substitute(r.num, bound)
+    if not r.den.is_one():
+        inv0 = d0 if d0 in (1, -1) else 1 / Fraction(d0)
+        corrections = [(b, sum(b), db) for b, db in _substitute(r.den, bound).items() if any(b)]
+        layers = [{a: c for a, c in h.items() if sum(a) == deg} for deg in range(bound + 1)]
+        h = {}
+        for deg, layer in enumerate(layers):
+            for a, c in layer.items():
+                if not c:
+                    continue
+                c = h[a] = c * inv0
+                for b, db_deg, db in corrections:
+                    if deg + db_deg <= bound:
+                        key = tuple(x + y for x, y in zip(a, b))
+                        out = layers[deg + db_deg]
+                        out[key] = out.get(key, 0) - db * c
+    series = TruncatedSeries.__new__(TruncatedSeries)
+    series.num_vars, series.bound, series.terms = r.num_vars, bound, h
+    return series
 
 
 # ============================================================

@@ -121,7 +121,7 @@ def _cmd_alexander(word: MorseWord, opts) -> str:
     }
     if opts.braid_b is not None:
         gens = _braid_generators(opts.braid_b, word.n)
-        check = knot_closure_relation(word, gens)
+        check = knot_closure_relation(report.record, gens)
         out["knot_closure"] = {
             "ok": check.ok,
             "degenerate": check.degenerate,

@@ -3,10 +3,12 @@ finite-type vanishing property of their alternating sums.
 
 Writing t_i = 1 - z_i, every entry of gamma(L) expands as a power
 series in the z_i (the denominator augments to +-1, so it is a unit in
-the power-series ring).  Flipping a set of k crossings in all 2^k ways
-and summing with alternating signs kills every coefficient of total
-degree below k; the coefficient functionals are finite-type invariants
-of order bounded by their degree.
+the power-series ring); `algebra.taylor_expand` expands each entry in
+closed form, in integers, by binomial rows and a one-pass quotient.
+Flipping a set of k crossings in all 2^k ways and summing with
+alternating signs kills every coefficient of total degree below k; the
+coefficient functionals are finite-type invariants of order bounded by
+their degree.
 """
 
 from __future__ import annotations

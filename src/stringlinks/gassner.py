@@ -4,8 +4,8 @@ gamma(L) is obtained by solving (A B) X = -C for the Wirtinger-Fox blocks
 of a traced diagram and keeping the top n rows of X; the remaining rows
 (the interior-arc block Z) are kept alongside because the closure-matrix
 factorization needs them.  The GassnerMatrix that `gassner` returns is
-the per-word record: it also carries the traced Diagram and the
-FoxMatrix it solved, so the closure matrix, torsion, link polynomials
+the per-word record: it also carries the word, its traced Diagram and
+the FoxMatrix it solved, so the closure matrix, torsion, link polynomials
 and the walk oracle read them instead of tracing and solving the word
 again.  Both under-arc coefficients of every row are +-monomials, so
 the block-triangular `algebra.solve` resolves braid portions arc by arc
@@ -53,10 +53,11 @@ from .wirtinger import FoxMatrix, fox_matrix, presentation
 
 @dataclass(frozen=True)
 class GassnerMatrix:
-    """gamma and Z of one word, with the diagram and Fox blocks they came from.
+    """gamma and Z of one word, with the word, diagram and Fox blocks they
+    came from.
 
-    diagram and fox are None for a closed form such as full_twist; they
-    take no part in equality.
+    word, diagram and fox are None for a closed form such as full_twist;
+    they take no part in equality.
     """
 
     n: int
@@ -67,6 +68,7 @@ class GassnerMatrix:
     top_colors: Tuple[int, ...]
     diagram: Optional[Diagram] = field(default=None, compare=False, repr=False)
     fox: Optional[FoxMatrix] = field(default=None, compare=False, repr=False)
+    word: Optional[MorseWord] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -117,11 +119,11 @@ def gassner(word: MorseWord) -> GassnerMatrix:
             "gassner needs matching top and bottom colors in every slot; "
             "use burau for words that permute colors"
         )
-    return _solved(diagram, fox_matrix(presentation(diagram)))
+    return _solved(word, diagram, fox_matrix(presentation(diagram)))
 
 
-def _solved(diagram: Diagram, fox: FoxMatrix) -> GassnerMatrix:
-    """The record of a traced diagram whose Fox blocks are already built."""
+def _solved(word: MorseWord, diagram: Diagram, fox: FoxMatrix) -> GassnerMatrix:
+    """The record of a word whose diagram and Fox blocks are already built."""
     gamma, Z = solve_fox_system(fox)
     return GassnerMatrix(
         n=diagram.n,
@@ -132,6 +134,7 @@ def _solved(diagram: Diagram, fox: FoxMatrix) -> GassnerMatrix:
         top_colors=diagram.top_colors,
         diagram=diagram,
         fox=fox,
+        word=word,
     )
 
 

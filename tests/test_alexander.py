@@ -19,6 +19,7 @@ from stringlinks import (
     fox_of_word,
     from_braid_word,
     full_report,
+    full_twist,
     full_twist_braid_word,
     gassner,
     ideal_rank_check,
@@ -29,6 +30,7 @@ from stringlinks import (
     reduce,
     torsion,
 )
+from stringlinks.algebra import VerificationError
 
 from conftest import braid_corpus_words, corpus_words, pure_corpus_words
 
@@ -164,6 +166,14 @@ class TestKnotClosure:
         check = knot_closure_relation(from_braid_word(2, []), [1])
         assert check.ok and not check.degenerate
         assert check.lhs.is_zero() and check.correction_num.is_zero()
+
+    def test_record_gives_the_word_result(self, pure_corpus):
+        for name, word in pure_corpus:
+            assert knot_closure_relation(gassner(word)) == knot_closure_relation(word), name
+
+    def test_record_without_word_rejected(self):
+        with pytest.raises(VerificationError):
+            knot_closure_relation(full_twist(2), [1])
 
     def test_correction_identity_values(self):
         # (1 - t)(1 + t^3) = (1 - t + t^2)(1 - t^2) exactly

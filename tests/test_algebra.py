@@ -401,6 +401,103 @@ def _parity(perm):
     return sign
 
 
+def _reference_taylor(r, bound):
+    """Taylor expansion at t_i = 1 through truncated series products.
+
+    Each t_i^k is a product of k truncated (1 - z_i), or of -k geometric
+    series 1 + z_i + z_i^2 + ..., and 1/den is the geometric series in
+    1 - den/den(1).  Kept only as a reference for `taylor_expand`.
+    """
+    if isinstance(r, LaurentPoly):
+        r = RatFunc(r)
+    nv = r.num_vars
+    c0 = r.den.augment()
+    if c0 == 0:
+        raise algebra.PoleError("denominator vanishes at t_i = 1")
+    zero = (0,) * nv
+
+    def const(c):
+        return TruncatedSeries(nv, bound, {zero: c})
+
+    def unit(i, k):
+        return tuple(k if j == i else 0 for j in range(nv))
+
+    def to_series(p):
+        total = const(0)
+        for e, c in p.terms.items():
+            term = const(c)
+            for i, k in enumerate(e):
+                base = (TruncatedSeries(nv, bound, {zero: 1, unit(i, 1): -1}) if k > 0 else
+                        TruncatedSeries(nv, bound, {unit(i, j): 1 for j in range(bound + 1)}))
+                for _ in range(abs(k)):
+                    term = term * base
+            total = total + term
+        return total
+
+    u = const(1) - to_series(r.den) * const(1 / c0)
+    inv = acc = const(1)
+    for _ in range(bound):
+        acc = acc * u
+        inv = inv + acc
+    return to_series(r.num) * inv * const(1 / c0)
+
+
+def _random_taylor_input(rng):
+    """A RatFunc in 1-3 variables with negative exponents and Fraction
+    coefficients whose denominator does not vanish at t = 1."""
+    nv = rng.randint(1, 3)
+
+    def poly(size):
+        terms = {}
+        for _ in range(size):
+            e = tuple(rng.randint(-2, 2) for _ in range(nv))
+            terms[e] = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+        return LaurentPoly(nv, terms)
+
+    num = poly(rng.randint(1, 4))
+    roll = rng.random()
+    if roll < 0.25:
+        return RatFunc(num)
+    den = poly(rng.randint(1, 3))
+    if roll < 0.5:  # force den(1) = +-1
+        den = den + LaurentPoly.const(nv, rng.choice([1, -1]) - den.augment())
+    elif den.augment() == 0:
+        den = den + LaurentPoly.const(nv, rng.choice([2, Fraction(-3, 2)]))
+    return RatFunc(num, den)
+
+
+class TestTaylorAgainstReference:
+    """`taylor_expand` against the truncated-product reference above."""
+
+    def test_random_rational_functions(self):
+        rng = random.Random(5)
+        inputs = [_random_taylor_input(rng) for _ in range(200)]
+        assert sum(r.den.augment() not in (1, -1) for r in inputs) >= 50
+        for r in inputs:
+            for bound in range(6):
+                assert taylor_expand(r, bound).terms == _reference_taylor(r, bound).terms, (r, bound)
+
+    def test_corpus_gassner_entries(self, corpus):
+        nontrivial = 0
+        for name, word in corpus:
+            g = gassner(word)
+            for i in range(g.n):
+                for j in range(g.n):
+                    r = g.entries[i, j]
+                    nontrivial += not r.den.is_one()
+                    for bound in range(6):
+                        assert taylor_expand(r, bound).terms == _reference_taylor(r, bound).terms, \
+                            (name, i, j, bound)
+        assert nontrivial > 0
+
+    def test_pole_and_negative_bound(self):
+        one = LaurentPoly.one(2)
+        with pytest.raises(algebra.PoleError):
+            taylor_expand(RatFunc(one, one - t(0) * t(1)), 3)
+        with pytest.raises(algebra.AlgebraError):
+            taylor_expand(RatFunc(one + t(0)), -1)
+
+
 class TestSeries:
     def test_geometric_series_of_inverse_variable(self):
         # 1/t1 = 1/(1 - z1) = 1 + z1 + z1^2 + ... under t1 = 1 - z1

@@ -12,6 +12,7 @@ import stringlinks
 from stringlinks import cli, gassner, matrix_from_json, parse_morse
 from stringlinks.algebra import SingularMatrixError
 from stringlinks.cli import run
+from stringlinks.diagram import is_crossing
 
 from conftest import CORPUS_DIR
 
@@ -182,17 +183,23 @@ PINNED = json.loads((Path(__file__).resolve().parent / "data" / "corpus_outputs.
 
 
 class TestPinnedOutputs:
-    """report --json and torsion --json on the corpus, byte for byte as recorded."""
+    """Corpus outputs, byte for byte as recorded: report --json, torsion --json,
+    taylor --json --order 4 and, where the word has a crossing, altsum --json
+    over its first crossing at order 3."""
 
     def test_every_corpus_file_is_pinned(self):
         assert sorted(PINNED) == sorted(p.name for p in CORPUS_DIR.glob("*.sl"))
+        for name, pins in PINNED.items():
+            has_crossing = any(is_crossing(e) for e in
+                               parse_morse((CORPUS_DIR / name).read_text()).events)
+            expected = {"report", "torsion", "taylor"} | ({"altsum"} if has_crossing else set())
+            assert set(pins) == expected, name
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_corpus_output_unchanged(self, name, capsys):
-        for command, expected in sorted(PINNED[name].items()):
-            code, out, err = invoke([command, "--json", str(CORPUS_DIR / name)], capsys)
-            assert code == 0
-            assert out == expected
+        for command, pin in sorted(PINNED[name].items()):
+            code, out, err = invoke(pin["argv"] + [str(CORPUS_DIR / name)], capsys)
+            assert (code, out) == (pin["exit"], pin["stdout"]), command
 
 
 class TestJson:

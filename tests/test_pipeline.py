@@ -1,4 +1,5 @@
-"""One trace, one Fox build and one solve per word, and the tracer's names.
+"""One trace, one Fox build and one solve per word record, the Taylor
+expansions per record, and the tracer's names.
 
 The call counts are taken by wrapping each function in every stringlinks
 module that holds it, the same way slbench's tracer attributes time.
@@ -20,15 +21,26 @@ COUNTED = {
     "solve_fox_system": "gassner",
     "burau": "gassner",
     "factorization_identity": "alexander",
+    "taylor_expand": "algebra",
 }
 
-# Per-word calls: verify builds one record for the word and one for the
-# word stacked on itself; report builds one record.
+# Per-word calls.  verify builds one record for the word and one for the
+# word stacked on itself; report and taylor build one record, altsum over
+# one flip two.  alexander --braid-b reads report's record for L and
+# traces only the combined word L B and the braid B (for burau).  Every
+# test word has n = 2, so each record expands n^2 = 4 entries.
 TARGETS = {
-    "report": {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
-               "factorization_identity": 1},
-    "verify": {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
-               "factorization_identity": 1},
+    ("report",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
+                  "factorization_identity": 1, "taylor_expand": 0},
+    ("verify",): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
+                  "factorization_identity": 1, "taylor_expand": 0},
+    ("taylor",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
+                  "factorization_identity": 0, "taylor_expand": 4},
+    ("altsum", "--flips", "1"): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
+                                 "factorization_identity": 0, "taylor_expand": 8},
+    ("alexander", "--braid-b", "s1"): {"trace": 3, "fox_matrix": 3, "solve_fox_system": 2,
+                                       "burau": 1, "factorization_identity": 1,
+                                       "taylor_expand": 0},
 }
 
 
@@ -54,12 +66,12 @@ def calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("command", sorted(TARGETS))
+@pytest.mark.parametrize("argv", sorted(TARGETS), ids=" ".join)
 @pytest.mark.parametrize("name", ["hopf.sl", "kink_on_hopf.sl"])
-def test_calls_per_word(command, name, calls, capsys):
-    assert run([command, str(CORPUS_DIR / name)]) == 0
+def test_calls_per_word(argv, name, calls, capsys):
+    assert run([*argv, str(CORPUS_DIR / name)]) == 0
     capsys.readouterr()
-    assert {key: calls[key] for key in COUNTED} == TARGETS[command]
+    assert {key: calls[key] for key in COUNTED} == TARGETS[argv]
 
 
 def test_traced_names_exist():
@@ -69,3 +81,12 @@ def test_traced_names_exist():
         module = importlib.import_module("stringlinks." + layer)
         for name in names:
             assert callable(getattr(module, name, None)), "%s.%s" % (layer, name)
+
+
+def test_knot_closure_needs_pure_word_before_extra_solve(calls, capsys):
+    # s1 is not pure: the usage error comes after report's own record and
+    # before the combined word or the braid is traced.
+    assert run(["alexander", "--braid-b", "s1", str(CORPUS_DIR / "s1.sl")]) == 1
+    assert "needs a pure word" in capsys.readouterr().err
+    assert {key: calls[key] for key in ("trace", "fox_matrix", "solve_fox_system", "burau")} == \
+        {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0}
