@@ -132,14 +132,9 @@ class KnotClosureCheck:
 def _as_laurent(r: RatFunc, what: str) -> LaurentPoly:
     """Certify that a rational function is a Laurent polynomial."""
     red = r.reduced()
-    den = red.den
-    if len(den.terms) != 1:
+    if not red.den.is_monomial():
         raise VerificationError("%s is not a Laurent polynomial: %s" % (what, red))
-    (exps, coeff), = den.terms.items()
-    inv = LaurentPoly(
-        den.num_vars, {tuple(-e for e in exps): 1 / coeff}
-    )
-    return red.num * inv
+    return red.num * red.den ** -1
 
 
 def equal_up_to_units(a, b) -> bool:
@@ -200,14 +195,13 @@ def alexander_poly_closure(
     """det(V(i,j)) / (1 - t_{alpha(j)}), unit-normalized.
 
     The quotient is independent of (i, j) up to units; a few pairs are
-    recomputed and compared to certify that on every call.
+    recomputed and compared to certify that on every call.  V w = 0
+    bounds rank(V) by c - 1, so a nonzero (0, 0) minor settles the rank;
+    only a zero one needs `rank` to tell rank < c - 1 (zero polynomial).
     """
     if V.n < 2:
         raise VerificationError("multivariable closure polynomial needs n >= 2")
     c, nv = V.c, V.num_vars
-    if rank(V.V) < c - 1:
-        return LaurentPoly.zero(nv)
-    rng = rng or random.Random(20260814)
 
     def quotient(i: int, j: int) -> LaurentPoly:
         minor = det(V.V.minor_matrix(i, j))
@@ -217,6 +211,9 @@ def alexander_poly_closure(
         return _as_laurent(minor * w.inverse(), "closure polynomial")
 
     base = normalize_unit(quotient(0, 0))
+    if base.is_zero() and rank(V.V) < c - 1:
+        return base
+    rng = rng or random.Random(20260814)
     pairs = {(0, 0)}
     while len(pairs) < min(spot_checks + 1, c * c):
         pairs.add((rng.randrange(c), rng.randrange(c)))

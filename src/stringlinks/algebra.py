@@ -6,8 +6,18 @@ fractions of Laurent polynomials with arbitrary-precision rational
 coefficients; no floating point enters here.
 
 Conventions:
-  * A LaurentPoly is a map from integer exponent vectors to nonzero
-    Fractions.  Exponents may be negative.
+  * A LaurentPoly maps exponent vectors to nonzero coefficients.  A
+    coefficient is an `int` whenever it is integral (Fox entries, Bareiss
+    intermediates, braid gamma, Z and torsion always are); a `Fraction`
+    arises only where a real division happens: an exact-division quotient
+    coefficient, the content and univariate-GCD steps of
+    `RatFunc.reduced`, the inverse of a non-unit monomial, and
+    user-supplied fractional coefficients.  Division of coefficients goes
+    through `_div`, never `/`, so no float appears.
+  * Each exponent vector is packed into one int key (total degree, then
+    one biased field per variable), so a product adds keys and key order
+    is the canonical term order.  Exponents may be negative; one that
+    leaves its field raises AlgebraError.  `sorted_terms` unpacks.
   * RatFunc fractions are NOT kept GCD-reduced.  Equality is decided by
     cross-multiplication, which is exact and cheap enough at our sizes.
     A lightweight `reduced` pass (exact division, monomial/scalar content,
@@ -27,15 +37,18 @@ Conventions:
     cyclic blocks go through the dense Bareiss Gauss-Jordan.
   * `taylor_expand` substitutes t_i = 1 - z_i by cached binomial rows of
     (1 - z_i)^k and divides by the denominator degree by degree in one
-    pass, with `int` coefficients while they are integral.
+    pass, with `int` coefficients while they are integral.  A
+    TruncatedSeries is the same packed kernel, cut at its degree bound.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from math import comb, gcd
+from operator import or_
 from typing import Mapping, Sequence
 
 
@@ -63,19 +76,120 @@ class ParseError(AlgebraError):
     """Canonical-text input could not be parsed."""
 
 
+class ExponentRangeError(AlgebraError):
+    """An exponent, total degree or series bound left the packed field range."""
+
+
 class VerificationError(RuntimeError):
     """An identity that must hold for every valid input failed to hold."""
 
 
 Exponents = tuple
 
+# Packed exponents.  A term's exponent vector e is one int of num_vars + 1
+# fields: the total degree (most significant), then e_1, ..., e_n, each
+# stored plus a bias.  Integer order of keys is then the canonical (total
+# degree, exponent tuple) order, a product of monomials adds keys (less
+# the zero key), and the bar involution reflects them.  Values must lie in
+# [-bias, bias): the top bit of every field stays clear for them, so a sum
+# or reflection that leaves the range sets it and is caught (_in_range),
+# never wrapped.
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+
+@lru_cache(maxsize=64)
+def _layout(num_vars: int) -> tuple:
+    """(field bits, bias) of the keys in num_vars variables.
+
+    The fields share 60 bits (two CPython digits, which keeps key
+    arithmetic cheap) down to 12 bits a field from 4 variables on, where
+    exponents and total degrees lie in [-1024, 1024).
+    """
+    field = max(12, 60 // (num_vars + 1))
+    return field, 1 << (field - 2)
+
+
+@lru_cache(maxsize=64)
+def _zero_key(num_vars: int) -> int:
+    """The key of the zero exponent vector: the bias in every field."""
+    field, bias = _layout(num_vars)
+    return bias * (((1 << (field * (num_vars + 1))) - 1) // ((1 << field) - 1))
+
+
+def _pack(exps, num_vars: int) -> int:
+    exps = tuple(exps)
+    if len(exps) != num_vars:
+        raise AlgebraError(
+            f"exponent vector {exps} has length {len(exps)}, expected {num_vars}")
+    field, bias = _layout(num_vars)
+    key = 0
+    for x in (sum(exps),) + exps:
+        if not -bias <= x < bias:
+            raise ExponentRangeError(f"exponent vector {exps} leaves the packed range [-{bias}, {bias})")
+        key = (key << field) | (x + bias)
+    return key
+
+
+def _unpack(key: int, num_vars: int) -> Exponents:
+    field, bias = _layout(num_vars)
+    mask = (1 << field) - 1
+    return tuple(((key >> (field * i)) & mask) - bias for i in range(num_vars - 1, -1, -1))
+
+
+def _in_range(terms: dict, num_vars: int) -> dict:
+    """terms, after checking that no key left the packed range."""
+    if terms and reduce(or_, terms) & (_zero_key(num_vars) << 1):
+        bias = _layout(num_vars)[1]
+        raise ExponentRangeError(f"an exponent or total degree left the packed range [-{bias}, {bias})")
+    return terms
+
+
+def _coeff(x):
+    """A coefficient: an int, or a Fraction that is not integral."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise AlgebraError(f"coefficient must be int or Fraction, got {type(x).__name__}")
+
+
+def _div(a, b):
+    """a / b: an int when b divides a, else a Fraction (never a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _mul_terms(a: dict, b: dict, num_vars: int) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    zero = _zero_key(num_vars)
+    out: dict = {}
+    get = out.get
+    for ka, ca in a.items():
+        ka -= zero
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return _in_range({k: c for k, c in out.items() if c}, num_vars)
+
+
+def _poly(num_vars: int, terms: dict) -> "LaurentPoly":
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.num_vars, p.terms = num_vars, terms
+    return p
 
 
 # ============================================================
@@ -85,44 +199,39 @@ def _as_fraction(x) -> Fraction:
 class LaurentPoly:
     """A Laurent polynomial in `num_vars` variables over Q.
 
-    INPUT terms: mapping exponent-tuple -> coefficient; zero coefficients
-    are dropped on construction.  Instances are treated as immutable.
+    INPUT terms: mapping exponent-tuple -> coefficient (int or Fraction);
+    zero coefficients are dropped on construction.  `terms` holds the
+    packed form, {key: coefficient}, with `int` coefficients wherever
+    they are integral; `sorted_terms` unpacks it.  Instances are treated
+    as immutable.
     """
 
-    __slots__ = ("num_vars", "terms", "_hash")
+    __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping[Exponents, Fraction] | None = None):
         if num_vars < 0:
             raise AlgebraError("num_vars must be >= 0")
         self.num_vars = num_vars
-        clean: dict = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != num_vars:
-                    raise AlgebraError(
-                        f"exponent vector {exps} has length {len(exps)}, expected {num_vars}")
-                coeff = _as_fraction(coeff)
-                if coeff != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self.terms = clean
-        self._hash = None
+        self.terms = {}
+        for exps, coeff in (terms or {}).items():
+            coeff = _coeff(coeff)
+            if coeff:
+                self.terms[_pack(exps, num_vars)] = coeff
 
     # ---- constructors ----
 
     @staticmethod
     def zero(num_vars: int) -> "LaurentPoly":
-        return LaurentPoly(num_vars, {})
+        return _poly(num_vars, {})
 
     @staticmethod
     def one(num_vars: int) -> "LaurentPoly":
-        return LaurentPoly(num_vars, {(0,) * num_vars: Fraction(1)})
+        return _poly(num_vars, {_zero_key(num_vars): 1})
 
     @staticmethod
     def const(num_vars: int, c) -> "LaurentPoly":
-        return LaurentPoly(num_vars, {(0,) * num_vars: _as_fraction(c)})
+        c = _coeff(c)
+        return _poly(num_vars, {_zero_key(num_vars): c} if c else {})
 
     @staticmethod
     def var(num_vars: int, index: int, power: int = 1) -> "LaurentPoly":
@@ -131,11 +240,11 @@ class LaurentPoly:
             raise AlgebraError(f"variable index {index} out of range for {num_vars} variables")
         exps = [0] * num_vars
         exps[index] = power
-        return LaurentPoly(num_vars, {tuple(exps): Fraction(1)})
+        return _poly(num_vars, {_pack(exps, num_vars): 1})
 
     @staticmethod
     def monomial(num_vars: int, exps: Sequence[int], coeff=1) -> "LaurentPoly":
-        return LaurentPoly(num_vars, {tuple(exps): _as_fraction(coeff)})
+        return LaurentPoly(num_vars, {tuple(exps): coeff})
 
     # ---- predicates / simple data ----
 
@@ -143,21 +252,23 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.num_vars: Fraction(1)}
+        return self.terms == {_zero_key(self.num_vars): 1}
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def augment(self) -> Fraction:
+    def augment(self):
         """Evaluation at t_1 = ... = t_n = 1 (the augmentation map)."""
-        return sum(self.terms.values(), Fraction(0))
+        return sum(self.terms.values())
 
     def min_exponents(self) -> Exponents:
         """Componentwise minimum exponent over all terms (poly must be nonzero)."""
         if not self.terms:
             raise AlgebraError("min_exponents of the zero polynomial")
-        cols = zip(*self.terms.keys())
-        return tuple(min(c) for c in cols)
+        field, bias = _layout(self.num_vars)
+        mask = (1 << field) - 1
+        return tuple(min((k >> (field * i)) & mask for k in self.terms) - bias
+                     for i in range(self.num_vars - 1, -1, -1))
 
     # ---- arithmetic ----
 
@@ -168,61 +279,31 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.num_vars, p.terms, p._hash = self.num_vars, out, None
-        return p
+        return _poly(self.num_vars, _add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "LaurentPoly":
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.num_vars = self.num_vars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        p._hash = None
-        return p
+        return _poly(self.num_vars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.num_vars, p.terms, p._hash = self.num_vars, out, None
-        return p
+        return _poly(self.num_vars, _mul_terms(self.terms, other.terms, self.num_vars))
 
     def scale(self, c) -> "LaurentPoly":
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return LaurentPoly.zero(self.num_vars)
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.num_vars = self.num_vars
-        p.terms = {e: cc * c for e, cc in self.terms.items()}
-        p._hash = None
-        return p
+        return _poly(self.num_vars, {k: _coeff(cc * c) for k, cc in self.terms.items()})
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             if not self.is_monomial():
                 raise AlgebraError("negative powers only defined for monomials")
-            ((e, c),) = self.terms.items()
-            return LaurentPoly(self.num_vars, {tuple(x * k for x in e): c ** k})
+            ((key, c),) = self.terms.items()
+            exps = tuple(x * k for x in _unpack(key, self.num_vars))
+            return _poly(self.num_vars, {_pack(exps, self.num_vars): _div(1, c) ** -k})
         result = LaurentPoly.one(self.num_vars)
         base = self
         while k:
@@ -234,20 +315,15 @@ class LaurentPoly:
 
     def shift(self, exps: Sequence[int]) -> "LaurentPoly":
         """Multiply by the monomial t^exps."""
-        exps = tuple(exps)
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.num_vars = self.num_vars
-        p.terms = {tuple(x + y for x, y in zip(e, exps)): c for e, c in self.terms.items()}
-        p._hash = None
-        return p
+        d = _pack(exps, self.num_vars) - _zero_key(self.num_vars)
+        return _poly(self.num_vars,
+                     _in_range({k + d: c for k, c in self.terms.items()}, self.num_vars))
 
     def bar(self) -> "LaurentPoly":
         """The bar involution t_i -> t_i^-1 (negate all exponents)."""
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.num_vars = self.num_vars
-        p.terms = {tuple(-x for x in e): c for e, c in self.terms.items()}
-        p._hash = None
-        return p
+        twice = 2 * _zero_key(self.num_vars)
+        return _poly(self.num_vars,
+                     _in_range({twice - k: c for k, c in self.terms.items()}, self.num_vars))
 
     def permute_vars(self, perm: Sequence[int]) -> "LaurentPoly":
         """Relabel variables: new variable i carries the old exponent of perm[i].
@@ -256,32 +332,21 @@ class LaurentPoly:
         """
         if sorted(perm) != list(range(self.num_vars)):
             raise AlgebraError("perm must be a permutation of the variable indices")
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.num_vars = self.num_vars
-        p.terms = {tuple(e[perm[i]] for i in range(self.num_vars)): c
-                   for e, c in self.terms.items()}
-        p._hash = None
-        return p
+        return LaurentPoly(self.num_vars, {tuple(e[i] for i in perm): c
+                                           for e, c in self.sorted_terms()})
 
     def collapse_vars(self) -> "LaurentPoly":
         """Specialize all variables to a single one: t_i -> t."""
         out: dict = {}
-        for e, c in self.terms.items():
-            k = (sum(e),)
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.num_vars, p.terms, p._hash = 1, out, None
-        return p
+        for e, c in self.sorted_terms():
+            out[(sum(e),)] = out.get((sum(e),), 0) + c
+        return LaurentPoly(1, out)
 
     def eval_complex(self, point: Sequence[complex]) -> complex:
         if len(point) != self.num_vars:
             raise AlgebraError("evaluation point has wrong arity")
         total = 0j
-        for e, c in self.terms.items():
+        for e, c in self.sorted_terms():
             v = complex(c)
             for x, k in zip(point, e):
                 v *= x ** k
@@ -294,8 +359,12 @@ class LaurentPoly:
         """Exact division in the Laurent ring; raises NotDivisibleError on failure.
 
         Strategy: strip monomial content from both operands (min exponents are
-        additive over a domain), then run single-divisor graded-lex division in
-        the ordinary polynomial ring.
+        additive over a domain), then run single-divisor division in the
+        ordinary polynomial ring, in key (graded-lex) order and in place on
+        the remainder: lead(p) = lead(q) * lead(d) whenever the division is
+        exact, and a quotient exponent below 0 means it is not.  Remainder
+        terms keep exponents >= 0 and at most p's total degree, so no key
+        leaves its range.
         """
         self._check(other)
         if other.is_zero():
@@ -304,10 +373,37 @@ class LaurentPoly:
             return LaurentPoly.zero(self.num_vars)
         mp = self.min_exponents()
         md = other.min_exponents()
-        p = self.shift(tuple(-x for x in mp))
-        d = other.shift(tuple(-x for x in md))
-        q = _ordinary_exact_div(p, d)
-        return q.shift(tuple(a - b for a, b in zip(mp, md)))
+        rem = self.shift(tuple(-x for x in mp)).terms
+        d = other.shift(tuple(-x for x in md)).terms
+        zero = _zero_key(self.num_vars)
+        dl = max(d)
+        dl_c = d[dl]
+        tail = [(k - dl, c) for k, c in d.items() if k != dl]
+        heap = [-k for k in rem]
+        heapify(heap)
+        q: dict = {}
+        while heap:
+            rl = -heappop(heap)
+            c = rem.pop(rl, 0)
+            if not c:
+                continue
+            qe = rl - dl + zero
+            if qe & zero != zero:
+                raise NotDivisibleError("exact division failed (monomial mismatch)")
+            qc = q[qe] = _div(c, dl_c)
+            for dk, dc in tail:
+                k = rl + dk
+                s = rem.get(k)
+                if s is None:
+                    rem[k] = -qc * dc
+                    heappush(heap, -k)
+                else:
+                    s -= qc * dc
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
+        return _poly(self.num_vars, q).shift(tuple(a - b for a, b in zip(mp, md)))
 
     # ---- dunder plumbing ----
 
@@ -317,9 +413,7 @@ class LaurentPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num_vars, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"LaurentPoly({self.to_text()!r})"
@@ -330,8 +424,9 @@ class LaurentPoly:
     # ---- canonical text ----
 
     def sorted_terms(self):
-        """Terms in canonical (graded, then exponent-tuple) ascending order."""
-        return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]))
+        """(exponent tuple, coefficient) pairs in canonical (graded, then
+        exponent-tuple) ascending order."""
+        return [(_unpack(k, self.num_vars), self.terms[k]) for k in sorted(self.terms)]
 
     def to_text(self, var_names: Sequence[str] | None = None) -> str:
         if var_names is None:
@@ -371,34 +466,13 @@ def series_var_names(num_vars: int) -> list:
     return [f"z{i + 1}" for i in range(num_vars)]
 
 
-def _ordinary_exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    # single-divisor division; valid because lead(p) = lead(q) * lead(d)
-    # whenever the division is exact over an integral domain
-    def lead(poly: LaurentPoly):
-        return max(poly.terms, key=lambda e: (sum(e), e))
-
-    dl = lead(d)
-    dl_c = d.terms[dl]
-    q_terms: dict = {}
-    rem = p
-    while not rem.is_zero():
-        rl = lead(rem)
-        qe = tuple(a - b for a, b in zip(rl, dl))
-        if any(x < 0 for x in qe):
-            raise NotDivisibleError("exact division failed (monomial mismatch)")
-        qc = rem.terms[rl] / dl_c
-        q_terms[qe] = qc
-        rem = rem - d.shift(qe).scale(qc)
-    return LaurentPoly(p.num_vars, q_terms)
-
-
-def augment(p) -> Fraction:
+def augment(p):
     """Augmentation (all variables to 1) of a LaurentPoly or RatFunc."""
     if isinstance(p, RatFunc):
         da = p.den.augment()
         if da == 0:
             raise PoleError("denominator augments to zero")
-        return p.num.augment() / da
+        return _div(p.num.augment(), da)
     return p.augment()
 
 
@@ -411,10 +485,8 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     """
     if p.is_zero():
         return p
-    m = p.min_exponents()
-    q = p.shift(tuple(-x for x in m))
-    first = min(q.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]))
-    if first[1] < 0:
+    q = p.shift(tuple(-x for x in p.min_exponents()))
+    if q.terms[min(q.terms)] < 0:
         q = -q
     return q
 
@@ -455,19 +527,12 @@ class RatFunc:
     def const(num_vars: int, c) -> "RatFunc":
         return RatFunc(LaurentPoly.const(num_vars, c))
 
-    @staticmethod
-    def var(num_vars: int, index: int, power: int = 1) -> "RatFunc":
-        return RatFunc(LaurentPoly.var(num_vars, index, power))
-
     @property
     def num_vars(self) -> int:
         return self.num.num_vars
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
 
     # ---- arithmetic ----
 
@@ -532,11 +597,9 @@ class RatFunc:
             return RatFunc(LaurentPoly.zero(self.num_vars))
         # fold the denominator's unit part into the numerator
         mu = den.min_exponents()
-        lead = min(den.shift(tuple(-x for x in mu)).terms.items(),
-                   key=lambda ec: (sum(ec[0]), ec[0]))
         den = den.shift(tuple(-x for x in mu))
         num = num.shift(tuple(-x for x in mu))
-        if lead[1] < 0:
+        if den.terms[min(den.terms)] < 0:
             den, num = -den, -num
         if den.is_one():
             return RatFunc(num)
@@ -558,10 +621,9 @@ class RatFunc:
         if ratio != 1:
             num = num.scale(1 / cn)
             den = den.scale(1 / cd)
-        live = {i for p in (num, den) for e in p.terms for i, k in enumerate(e) if k}
+        live = {i for p in (num, den) for e, _ in p.sorted_terms() for i, k in enumerate(e) if k}
         if len(live) == 1:
-            (i,) = live
-            g = _univar_gcd(num, den, i)
+            g = _univar_gcd(num, den)
             if not g.is_one():
                 num = num.exact_div(g)
                 den = den.exact_div(g)
@@ -603,44 +665,22 @@ class RatFunc:
         return f"({self.num.to_text(var_names)})/({self.den.to_text(var_names)})"
 
 
-def _univar_gcd(a: LaurentPoly, b: LaurentPoly, var: int) -> LaurentPoly:
-    """Monic GCD of two (effectively univariate in `var`) Laurent polynomials."""
-    def to_coeffs(p: LaurentPoly):
-        m = min(e[var] for e in p.terms)
-        deg = max(e[var] for e in p.terms) - m
-        cs = [Fraction(0)] * (deg + 1)
-        for e, c in p.terms.items():
-            cs[e[var] - m] += c
-        return cs
+def _univar_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Monic GCD of two Laurent polynomials in the same single variable.
 
-    def trim(cs):
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cs
-
-    def mod(a_cs, b_cs):
-        a_cs = a_cs[:]
-        while len(a_cs) >= len(b_cs) and trim(a_cs):
-            f = a_cs[-1] / b_cs[-1]
-            off = len(a_cs) - len(b_cs)
-            for i, c in enumerate(b_cs):
-                a_cs[off + i] -= f * c
-            a_cs = trim(a_cs)
-        return a_cs
-
-    x, y = trim(to_coeffs(a)), trim(to_coeffs(b))
-    while y:
-        x, y = y, mod(x, y)
-    if not x:
-        return LaurentPoly.one(a.num_vars)
-    x = [c / x[-1] for c in x]
-    terms = {}
-    for i, c in enumerate(x):
-        if c:
-            e = [0] * a.num_vars
-            e[var] = i
-            terms[tuple(e)] = c
-    return LaurentPoly(a.num_vars, terms)
+    Euclid's algorithm on the ordinary polynomials left after stripping
+    monomial content; with one live variable, key order is degree order.
+    """
+    x, y = (p.shift(tuple(-e for e in p.min_exponents())) for p in (a, b))
+    zero = _zero_key(a.num_vars)
+    while y.terms:
+        top = max(y.terms)
+        while x.terms and max(x.terms) >= top:
+            lead = max(x.terms)
+            step = {lead - top + zero: _div(x.terms[lead], y.terms[top])}
+            x = x - y * _poly(a.num_vars, step)
+        x, y = y, x
+    return x.scale(_div(1, x.terms[max(x.terms)]))
 
 
 # ============================================================
@@ -686,12 +726,6 @@ class RatMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return list(self.entries[i])
-
-    def col(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -1170,27 +1204,29 @@ def left_kernel_vector(M: RatMatrix):
 # ============================================================
 
 class TruncatedSeries:
-    """Polynomial truncation of a power series: terms of total degree <= bound."""
+    """Polynomial truncation of a power series: terms of total degree <= bound.
+
+    INPUT terms: mapping exponent-tuple (entries >= 0) -> coefficient.
+    `terms` is packed as in LaurentPoly, and the arithmetic is the
+    LaurentPoly kernel's, cut at the bound, so coefficients stay `int`
+    while they are integral.
+    """
 
     __slots__ = ("num_vars", "bound", "terms")
 
     def __init__(self, num_vars: int, bound: int, terms: Mapping[Exponents, Fraction] | None = None):
         if bound < 0:
             raise AlgebraError("series bound must be >= 0")
+        for e in terms or {}:
+            if len(tuple(e)) != num_vars or any(x < 0 for x in e):
+                raise AlgebraError(f"bad series exponent {tuple(e)}")
         self.num_vars = num_vars
         self.bound = bound
-        clean: dict = {}
-        for e, c in (terms or {}).items():
-            e = tuple(e)
-            if len(e) != num_vars or any(x < 0 for x in e):
-                raise AlgebraError(f"bad series exponent {e}")
-            if sum(e) <= bound:
-                clean[e] = clean.get(e, 0) + _as_fraction(c)
-        self.terms = {e: c for e, c in clean.items() if c}
+        self.terms = _truncated(LaurentPoly(num_vars, terms).terms, num_vars, bound)
 
     @staticmethod
     def zero(num_vars: int, bound: int) -> "TruncatedSeries":
-        return TruncatedSeries(num_vars, bound, {})
+        return _series(num_vars, bound, {})
 
     def _check(self, other: "TruncatedSeries"):
         if self.num_vars != other.num_vars or self.bound != other.bound:
@@ -1198,31 +1234,22 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return TruncatedSeries(self.num_vars, self.bound, out)
+        return _series(self.num_vars, self.bound, _add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.num_vars, self.bound,
-                               {e: -c for e, c in self.terms.items()})
+        return _series(self.num_vars, self.bound, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in other.terms.items():
-                if da + sum(eb) <= self.bound:
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    out[e] = out.get(e, 0) + ca * cb
-        return TruncatedSeries(self.num_vars, self.bound, out)
+        product = _mul_terms(self.terms, other.terms, self.num_vars)
+        return _series(self.num_vars, self.bound,
+                       _truncated(product, self.num_vars, self.bound))
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]):
+        return self.terms.get(_pack(exps, self.num_vars), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -1231,7 +1258,8 @@ class TruncatedSeries:
         """Smallest total degree with a nonzero coefficient; None if zero."""
         if not self.terms:
             return None
-        return min(sum(e) for e in self.terms)
+        field, bias = _layout(self.num_vars)
+        return (min(self.terms) >> (field * self.num_vars)) - bias
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TruncatedSeries)
@@ -1248,7 +1276,20 @@ class TruncatedSeries:
     def to_text(self, var_names: Sequence[str] | None = None) -> str:
         if var_names is None:
             var_names = series_var_names(self.num_vars)
-        return LaurentPoly(self.num_vars, self.terms).to_text(var_names)
+        return _poly(self.num_vars, self.terms).to_text(var_names)
+
+
+def _truncated(terms: dict, num_vars: int, bound: int) -> dict:
+    """The terms of total degree <= bound (keys below the next degree's)."""
+    field, bias = _layout(num_vars)
+    limit = (bound + 1 + bias) << (field * num_vars)
+    return {k: c for k, c in terms.items() if k < limit}
+
+
+def _series(num_vars: int, bound: int, terms: dict) -> TruncatedSeries:
+    series = TruncatedSeries.__new__(TruncatedSeries)
+    series.num_vars, series.bound, series.terms = num_vars, bound, terms
+    return series
 
 
 @lru_cache(maxsize=4096)
@@ -1260,26 +1301,25 @@ def _binomial_row(k: int, room: int) -> tuple:
     return tuple(comb(-k + j - 1, j) for j in range(room + 1))
 
 
-def _integral(c):
-    """An int for an integral coefficient, else the Fraction itself."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _substitute(p: LaurentPoly, bound: int) -> dict:
-    """p(1 - z_1, ..., 1 - z_n) to total degree <= bound: one variable at a
-    time, t_i^k becomes the binomial row of (1 - z_i)^k cut at the degree
-    left, and terms that agree on what is left to substitute merge."""
-    cur = {(0, e): _integral(c) for e, c in p.terms.items()}
-    for i in range(p.num_vars):
+    """p(1 - z_1, ..., 1 - z_n) to total degree <= bound, as packed terms:
+    one variable at a time, the field of t_i^k takes each exponent j of the
+    binomial row of (1 - z_i)^k cut at the degree left, and terms that
+    agree on what is left to substitute merge.  The total-degree field
+    holds 0 until it gets the z-degree last."""
+    field, bias = _layout(p.num_vars)
+    mask, top = (1 << field) - 1, field * p.num_vars
+    cur = {(0, k & ((1 << top) - 1) | (bias << top)): c for k, c in p.terms.items()}
+    for at in range(top - field, -1, -field):
         nxt: dict = {}
-        for (spent, e), c in cur.items():
-            head, tail = e[:i], e[i + 1:]
-            for j, a in enumerate(_binomial_row(e[i], bound - spent)):
+        for (spent, k), c in cur.items():
+            e = ((k >> at) & mask) - bias
+            for j, a in enumerate(_binomial_row(e, bound - spent)):
                 if a:
-                    key = (spent + j, head + (j,) + tail)
+                    key = (spent + j, k + ((j - e) << at))
                     nxt[key] = nxt.get(key, 0) + a * c
         cur = nxt
-    return {e: c for (_, e), c in cur.items() if c}
+    return {k + (spent << top): c for (spent, k), c in cur.items() if c}
 
 
 def taylor_expand(r, bound: int) -> TruncatedSeries:
@@ -1293,16 +1333,23 @@ def taylor_expand(r, bound: int) -> TruncatedSeries:
     """
     if isinstance(r, LaurentPoly):
         r = RatFunc(r)
-    d0 = _integral(r.den.augment())
+    d0 = _coeff(r.den.augment())
     if d0 == 0:
         raise PoleError("denominator vanishes at t_i = 1; Taylor expansion undefined")
     if bound < 0:
         raise AlgebraError("series bound must be >= 0")
+    field, bias = _layout(r.num_vars)
+    if bound >= bias:
+        raise ExponentRangeError(f"series bound {bound} leaves the packed range [0, {bias})")
     h = _substitute(r.num, bound)
     if not r.den.is_one():
-        inv0 = d0 if d0 in (1, -1) else 1 / Fraction(d0)
-        corrections = [(b, sum(b), db) for b, db in _substitute(r.den, bound).items() if any(b)]
-        layers = [{a: c for a, c in h.items() if sum(a) == deg} for deg in range(bound + 1)]
+        zero, top = _zero_key(r.num_vars), field * r.num_vars
+        inv0 = _div(1, d0)
+        corrections = [(b - zero, (b >> top) - bias, db)
+                       for b, db in _substitute(r.den, bound).items() if b != zero]
+        layers = [{} for _ in range(bound + 1)]
+        for a, c in h.items():
+            layers[(a >> top) - bias][a] = c
         h = {}
         for deg, layer in enumerate(layers):
             for a, c in layer.items():
@@ -1311,12 +1358,9 @@ def taylor_expand(r, bound: int) -> TruncatedSeries:
                 c = h[a] = c * inv0
                 for b, db_deg, db in corrections:
                     if deg + db_deg <= bound:
-                        key = tuple(x + y for x, y in zip(a, b))
                         out = layers[deg + db_deg]
-                        out[key] = out.get(key, 0) - db * c
-    series = TruncatedSeries.__new__(TruncatedSeries)
-    series.num_vars, series.bound, series.terms = r.num_vars, bound, h
-    return series
+                        out[a + b] = out.get(a + b, 0) - db * c
+    return _series(r.num_vars, bound, {k: _coeff(c) for k, c in h.items()})
 
 
 # ============================================================

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -18,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from .alexander import full_report, knot_closure_relation, torsion
 from .algebra import (
     AlgebraError,
+    ExponentRangeError,
     PoleError,
     VerificationError,
     default_var_names,
@@ -331,7 +334,7 @@ def _process_file(path: str, opts_dict: dict) -> Tuple[str, int, str]:
     try:
         word = parse_morse(Path(path).read_text())
         return path, EXIT_OK, _HANDLERS[opts.subcommand](word, opts)
-    except (MorseError, OSError) as exc:
+    except (MorseError, OSError, ExponentRangeError) as exc:
         return path, EXIT_USAGE, "error: %s" % exc
     except VerificationError as exc:
         return path, EXIT_VIOLATION, "violation: %s" % exc
@@ -365,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("inputs", nargs="+", help="diagram file(s)")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--jobs", type=int, default=1, metavar="K",
-                       help="process K files in parallel")
+                       help="process up to K files in parallel (at most one "
+                            "worker per file and per CPU)")
         if name in ("taylor", "altsum"):
             p.add_argument("--order", type=_nonneg_int, default=None, metavar="N",
                            help="truncation order (total degree bound)")
@@ -388,14 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     opts = parser.parse_args(argv)
+    if opts.jobs < 1:
+        parser.error("argument --jobs: must be >= 1, got %d" % opts.jobs)
     opts_dict = vars(opts).copy()
     paths = opts_dict.pop("inputs")
-    jobs = opts_dict.pop("jobs", 1) or 1
+    workers = min(opts_dict.pop("jobs"), len(paths), os.cpu_count() or 1)
     opts_dict["inputs"] = None
     opts_dict["jobs"] = 1
 
-    if jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_process_file, paths,
                                     [opts_dict] * len(paths)))
     else:

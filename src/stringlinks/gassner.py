@@ -287,7 +287,7 @@ def numeric_eval(g, angles: Sequence[float]):
 
 
 def _lift_poly(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly(p.num_vars + 1, {e + (0,): c for e, c in p.terms.items()})
+    return LaurentPoly(p.num_vars + 1, {e + (0,): c for e, c in p.sorted_terms()})
 
 
 def charpoly_coefficients(matrix: RatMatrix) -> List[RatFunc]:
@@ -311,14 +311,13 @@ def charpoly_coefficients(matrix: RatMatrix) -> List[RatFunc]:
             row.append(cell)
         lifted.append(row)
     d = det(RatMatrix(nv + 1, lifted))
-    if any(e[-1] != 0 for e in d.den.terms):
+    den_terms, num_terms = d.den.sorted_terms(), d.num.sorted_terms()
+    if any(e[-1] != 0 for e, _ in den_terms):
         raise VerificationError("characteristic polynomial denominator involves x")
-    den = LaurentPoly(nv, {e[:-1]: c for e, c in d.den.terms.items()})
+    den = LaurentPoly(nv, {e[:-1]: c for e, c in den_terms})
     coeffs = []
     for k in range(m + 1):
-        num_k = LaurentPoly(
-            nv, {e[:-1]: c for e, c in d.num.terms.items() if e[-1] == k}
-        )
+        num_k = LaurentPoly(nv, {e[:-1]: c for e, c in num_terms if e[-1] == k})
         coeffs.append(RatFunc(num_k, den))
     return coeffs
 

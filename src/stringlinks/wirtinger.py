@@ -27,7 +27,6 @@ determinants-up-to-units downstream are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .algebra import (
@@ -132,12 +131,12 @@ def fox_matrix(pres: WirtingerPresentation) -> FoxMatrix:
             v = gens[g].color - 1
             if e == 1:
                 exps = tuple(prefix)
-                row[g][exps] = row[g].get(exps, Fraction(0)) + 1
+                row[g][exps] = row[g].get(exps, 0) + 1
                 prefix[v] += 1
             elif e == -1:
                 prefix[v] -= 1
                 exps = tuple(prefix)
-                row[g][exps] = row[g].get(exps, Fraction(0)) - 1
+                row[g][exps] = row[g].get(exps, 0) - 1
             else:
                 raise VerificationError("relator exponents must be +1 or -1")
         rows.append([LaurentPoly(nv, cell) for cell in row])

@@ -411,7 +411,7 @@ def _reference_taylor(r, bound):
     if isinstance(r, LaurentPoly):
         r = RatFunc(r)
     nv = r.num_vars
-    c0 = r.den.augment()
+    c0 = Fraction(r.den.augment())
     if c0 == 0:
         raise algebra.PoleError("denominator vanishes at t_i = 1")
     zero = (0,) * nv
@@ -424,7 +424,7 @@ def _reference_taylor(r, bound):
 
     def to_series(p):
         total = const(0)
-        for e, c in p.terms.items():
+        for e, c in p.sorted_terms():
             term = const(c)
             for i, k in enumerate(e):
                 base = (TruncatedSeries(nv, bound, {zero: 1, unit(i, 1): -1}) if k > 0 else

@@ -104,6 +104,13 @@ class TestBadArguments:
             run(["altsum", HOPF, "--flips", "1", "--order", "-2"])
         assert exc.value.code == 1
 
+    def test_taylor_order_past_the_exponent_range(self, capsys):
+        # braid4_a23sq has 4 colors, so exponents and orders stay below 1024
+        code, out, err = invoke(
+            ["taylor", str(CORPUS_DIR / "braid4_a23sq.sl"), "--order", "1024"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "packed range" in err
+
     def test_braid_b_generators(self, capsys):
         code, out, err = invoke(["alexander", HOPF, "--braid-b", "s1"], capsys)
         assert code == 0
@@ -293,6 +300,38 @@ class TestMultiFile:
         )
         assert code == 0
         assert out.count("agree") == 3
+
+    @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2)])
+    def test_jobs_capped_by_files_and_cpus(self, monkeypatch, capsys, cpus, workers):
+        # a fake pool: no process is started, whatever --jobs asks for
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, err = invoke(["torsion", HOPF, TRIVIAL, FIG8, "--jobs", "10000"], capsys)
+        assert code == 0
+        assert out.count("== ") == 3
+        assert pools == [(workers, "spawn")]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["torsion", HOPF, TRIVIAL, "--jobs", jobs])
+        assert exc.value.code == 1
+        assert "--jobs" in capsys.readouterr().err
 
     def test_worst_exit_code_wins(self, capsys):
         code, out, err = invoke(

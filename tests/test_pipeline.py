@@ -22,6 +22,7 @@ COUNTED = {
     "burau": "gassner",
     "factorization_identity": "alexander",
     "taylor_expand": "algebra",
+    "rank": "algebra",
 }
 
 # Per-word calls.  verify builds one record for the word and one for the
@@ -31,16 +32,16 @@ COUNTED = {
 # test word has n = 2, so each record expands n^2 = 4 entries.
 TARGETS = {
     ("report",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
-                  "factorization_identity": 1, "taylor_expand": 0},
+                  "factorization_identity": 1, "taylor_expand": 0, "rank": 0},
     ("verify",): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
-                  "factorization_identity": 1, "taylor_expand": 0},
+                  "factorization_identity": 1, "taylor_expand": 0, "rank": 0},
     ("taylor",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
-                  "factorization_identity": 0, "taylor_expand": 4},
+                  "factorization_identity": 0, "taylor_expand": 4, "rank": 0},
     ("altsum", "--flips", "1"): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
-                                 "factorization_identity": 0, "taylor_expand": 8},
+                                 "factorization_identity": 0, "taylor_expand": 8, "rank": 0},
     ("alexander", "--braid-b", "s1"): {"trace": 3, "fox_matrix": 3, "solve_fox_system": 2,
                                        "burau": 1, "factorization_identity": 1,
-                                       "taylor_expand": 0},
+                                       "taylor_expand": 0, "rank": 0},
 }
 
 
@@ -72,6 +73,15 @@ def test_calls_per_word(argv, name, calls, capsys):
     assert run([*argv, str(CORPUS_DIR / name)]) == 0
     capsys.readouterr()
     assert {key: calls[key] for key in COUNTED} == TARGETS[argv]
+
+
+def test_rank_only_when_the_first_closure_minor_vanishes(calls, capsys):
+    # A nonzero (1,1) closure minor settles rank(V) = c - 1 (TARGETS: no
+    # rank call on hopf, whose Delta_closure is 1); trivial_2's
+    # Delta_closure is 0, so its zero minor needs one rank(V).
+    assert run(["report", str(CORPUS_DIR / "trivial_2.sl")]) == 0
+    capsys.readouterr()
+    assert calls["rank"] == 1
 
 
 def test_traced_names_exist():
