@@ -165,10 +165,11 @@ def closure_matrix(F: FoxMatrix) -> ClosureMatrix:
     nv = F.num_vars
     one = LaurentPoly.one(nv)
     w = [RatFunc(one - LaurentPoly.var(nv, col - 1)) for col in column_colors]
-    for i in range(F.c):
+    for row in V.entries:
         total = RatFunc.zero(nv)
-        for j in range(F.c):
-            total = total + V[i, j] * w[j]
+        for x, w_j in zip(row, w):
+            if x.num.terms:
+                total = total + x * w_j
         if not total.is_zero():
             raise VerificationError("closure matrix does not annihilate w")
     return ClosureMatrix(F.n, F.c, nv, V, column_colors)

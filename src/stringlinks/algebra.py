@@ -23,18 +23,17 @@ Conventions:
     A lightweight `reduced` pass (exact division, monomial/scalar content,
     univariate GCD) exists for presentation purposes only.
   * Canonical text form orders terms by (total degree, exponent tuple).
-  * Determinants and ranks clear denominators row by row, then share one
-    sparse elimination: pivots that are +-monomials (units of the Laurent
-    ring) go first, in Markowitz order, each a Schur complement step, and
-    fraction-free (Bareiss) elimination runs only on the leftover core,
-    so the intermediate swell stays polynomial instead of nested-fraction.
-    A braid's det(A B) has no core at all.
-  * `solve` is block triangular: a maximum transversal and the strongly
-    connected components of the matched system order the unknowns so
-    each block needs only blocks solved before it.  One-unknown blocks
-    are a single division (by an exact inverse monomial for a monomial
-    pivot, so Fox systems of braids never leave the Laurent ring); only
-    cyclic blocks go through the dense Bareiss Gauss-Jordan.
+  * `det`, `rank` and `solve` clear denominators row by row, then share
+    one sparse elimination: pivots that are monomials (units of the
+    Laurent ring over Q, whatever their coefficient) go first, in
+    Markowitz order, each a Schur complement step, and fraction-free
+    (Bareiss) elimination runs only on the leftover core, so the
+    intermediate swell stays polynomial instead of nested-fraction.  A
+    braid's det(A B) has no core at all.
+  * `solve` carries the right-hand sides through the same elimination and
+    back-substitutes fraction-free over the core's last Bareiss pivot d,
+    so every entry is one fraction N / d, and d = 1 when no core is left:
+    the Fox systems of braids never leave the Laurent ring.
   * `taylor_expand` substitutes t_i = 1 - z_i by cached binomial rows of
     (1 - z_i)^k and divides by the denominator degree by degree in one
     pass, with `int` coefficients while they are integral.  A
@@ -301,9 +300,9 @@ class LaurentPoly:
         if k < 0:
             if not self.is_monomial():
                 raise AlgebraError("negative powers only defined for monomials")
-            ((key, c),) = self.terms.items()
-            exps = tuple(x * k for x in _unpack(key, self.num_vars))
-            return _poly(self.num_vars, {_pack(exps, self.num_vars): _div(1, c) ** -k})
+            ((key, c),) = self.bar().terms.items()
+            inverse = _poly(self.num_vars, {key: _div(1, c)})
+            return inverse if k == -1 else inverse ** -k
         result = LaurentPoly.one(self.num_vars)
         base = self
         while k:
@@ -850,79 +849,78 @@ def _bareiss_eliminate(mat):
 
 
 def _cleared_rows(rows, num_vars: int):
-    """Scale each row of fractions to Laurent polynomials with exponents >= 0.
+    """Clear each row of fractions to a sparse row of Laurent polynomials.
 
-    A row is multiplied by its distinct denominators and by the monomial
-    that lifts its least exponents to 0.  Returns (polys, den_factor, shift)
-    with det(rows) = det(polys) * t^shift / den_factor; row scaling keeps
-    the rank and the solution set of a system.
+    A row is multiplied by its distinct denominators and kept as
+    {column: LaurentPoly} over its nonzeros.  Returns (polys, den_factor)
+    with det(rows) = det(polys) / den_factor; row scaling keeps the rank
+    and the solution set of a system.
     """
     polys = []
     den_factor = LaurentPoly.one(num_vars)
-    shift = [0] * num_vars
     for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x.num.terms]
         dens = []
-        for x in row:
+        for _j, x in nonzero:
             if not x.den.is_one() and not any(x.den == d for d in dens):
                 dens.append(x.den)
                 den_factor = den_factor * x.den
         # x.den (if nontrivial) is exactly one of dens, so multiplying by
         # the others gives x * prod(dens)
-        cleared = []
-        for x in row:
+        cleared = {}
+        for j, x in nonzero:
             q = x.num
             for d in dens:
                 if not (x.den == d):
                     q = q * d
-            cleared.append(q)
-        mins = [q.min_exponents() for q in cleared if q.terms]
-        low = [min(0, *col) for col in zip(*mins)]
-        if any(low):
-            shift = [a + b for a, b in zip(shift, low)]
-            cleared = [q.shift([-x for x in low]) for q in cleared]
+            cleared[j] = q
         polys.append(cleared)
-    return polys, den_factor, shift
+    return polys, den_factor
 
 
-def _unit_pivot_eliminate(mat, num_vars: int, cols: int):
-    """Sparse elimination on +-monomial pivots, in Markowitz order.
+def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
+    """Sparse elimination on monomial pivots, in Markowitz order.
 
-    mat is a list of LaurentPoly rows.  While some live entry is a unit,
-    the one of least Markowitz cost (row nonzeros - 1) * (column nonzeros
-    - 1) is the pivot: (a_rj / p) * pivot row is subtracted from every
-    other row r (one Schur complement step), and the pivot's row and
-    column are dropped.  Returns (unit, count, core): count pivots were
-    taken, the dense core holds the live rows and columns left, and
-    det(mat) = unit * det(core) when mat is square (unit carries each
-    pivot's sign (-1)^(i+j) at its live position), rank(mat) = count +
-    rank(core).
+    rows are {column: LaurentPoly} dicts over the first `cols` columns and
+    `carried` right-hand-side columns after them; pivots are taken only in
+    the first `cols`.  A single-term entry is a unit of Q[t^+-1], so while
+    one is live, the one of least Markowitz cost (row nonzeros - 1) *
+    (column nonzeros - 1) is the pivot, the scan stopping at cost 0:
+    (a_rj / p) * pivot row is subtracted from every other row r (one Schur
+    complement step, carried columns included), and the pivot's row and
+    column are dropped.  Returns (pivots, core).  Each pivot is (column,
+    signed pivot, inverse, pivot row): the signed pivot carries the sign
+    (-1)^(i+j) of its live position, and the pivot row holds the row's
+    other entries at that step.  The dense core holds the live rows over
+    the live columns, carried columns last.  det(rows) = prod(signed
+    pivots) * det(core) when rows is square, and rank(rows) = len(pivots)
+    + rank(core).
     """
-    rows = {i: {j: p for j, p in enumerate(row) if not p.is_zero()}
-            for i, row in enumerate(mat)}
-    col_rows = {j: set() for j in range(cols)}
-    for i, row in rows.items():
+    live = dict(enumerate(rows))
+    col_rows = {j: set() for j in range(cols + carried)}
+    for i, row in live.items():
         for j in row:
             col_rows[j].add(i)
-    unit = LaurentPoly.one(num_vars)
-    count = 0
+    pivots = []
     while True:
         best = None
-        for i, row in rows.items():
+        for i, row in live.items():
             for j, p in row.items():
-                if len(p.terms) == 1 and abs(next(iter(p.terms.values()))) == 1:
+                if j < cols and len(p.terms) == 1:
                     cost = (len(row) - 1) * (len(col_rows[j]) - 1)
                     if best is None or cost < best[0]:
                         best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
         if best is None:
             break
         _, i, j = best
-        position = sum(r < i for r in rows) + sum(c < j for c in col_rows)
-        pivot_row = rows.pop(i)
+        position = sum(r < i for r in live) + sum(c < j for c in col_rows)
+        pivot_row = live.pop(i)
         p = pivot_row.pop(j)
-        unit = unit * (-p if position % 2 else p)
         inverse = p ** -1
         for r in col_rows.pop(j) - {i}:
-            row = rows[r]
+            row = live[r]
             f = row.pop(j) * inverse
             for c, v in pivot_row.items():
                 x = row.get(c)
@@ -935,234 +933,95 @@ def _unit_pivot_eliminate(mat, num_vars: int, cols: int):
                     col_rows[c].add(r)
         for c in pivot_row:
             col_rows[c].discard(i)
-        count += 1
+        pivots.append((j, -p if position % 2 else p, inverse, pivot_row))
     zero = LaurentPoly.zero(num_vars)
-    core = [[row.get(j, zero) for j in sorted(col_rows)] for _, row in sorted(rows.items())]
-    return unit, count, core
+    core = [[row.get(j, zero) for j in sorted(col_rows)] for _, row in sorted(live.items())]
+    return pivots, core
 
 
 def det(M: RatMatrix) -> RatFunc:
-    """Determinant over F: det = unit * det(core) / (row denominators).
+    """Determinant over F: det = prod(signed pivots) * det(core) / (row denominators).
 
-    Rows are cleared of denominators, unit pivots are eliminated sparsely
-    (_unit_pivot_eliminate), and only the leftover core goes through
-    Bareiss elimination.
+    Rows are cleared of denominators, monomial pivots are eliminated
+    sparsely (_unit_pivot_eliminate), and only the leftover core goes
+    through Bareiss elimination.
     """
     if M.rows != M.cols:
         raise ShapeError("determinant of a non-square matrix")
     nv = M.num_vars
-    cleared, den_factor, shift = _cleared_rows(M.entries, nv)
-    d, _count, core = _unit_pivot_eliminate(cleared, nv, M.cols)
+    cleared, den_factor = _cleared_rows(M.entries, nv)
+    pivots, core = _unit_pivot_eliminate(cleared, nv, M.cols)
+    d = LaurentPoly.one(nv)
+    for _j, p, _inv, _row in pivots:
+        d = d * p
     if core:
-        sign, _pivots, r = _bareiss_eliminate(core)
+        sign, _steps, r = _bareiss_eliminate(core)
         if r < len(core):
             return RatFunc.zero(nv)
         d = d * (core[-1][-1] if sign > 0 else -core[-1][-1])
-    return RatFunc(d.shift(shift), den_factor)
-
-
-def _solve_dense(M: RatMatrix, B: RatMatrix) -> RatMatrix:
-    """Solve M X = B by dense elimination (M square and invertible over F).
-
-    Clears denominators row by row, then runs fraction-free Gauss-Jordan
-    (Bareiss one-step rule applied to all rows), so every intermediate entry
-    stays a Laurent polynomial; each solution entry is a single fraction
-    N_ij / pivot.  `solve` uses it on cyclic blocks, and the tests use it
-    as the reference for `solve`.
-    """
-    if M.rows != M.cols:
-        raise ShapeError("solve requires a square coefficient matrix")
-    if M.rows != B.rows:
-        raise ShapeError("right-hand side row count mismatch")
-    n = M.rows
-    nv = M.num_vars
-    if n == 0:
-        return RatMatrix(nv, [])
-    width = n + B.cols
-    aug, _den, _shift = _cleared_rows(
-        [M.entries[i] + B.entries[i] for i in range(n)], nv)
-    prev = None
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if not aug[i][k].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrixError("coefficient matrix is singular over F")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        piv = aug[k][k]
-        for i in range(n):
-            if i == k:
-                continue
-            fac = aug[i][k]
-            for j in range(width):
-                if j == k:
-                    continue
-                num = piv * aug[i][j] - fac * aug[k][j]
-                aug[i][j] = num if prev is None else num.exact_div(prev)
-            aug[i][k] = LaurentPoly.zero(nv)
-        prev = piv
-    d = aug[n - 1][n - 1]
-    out = [[RatFunc(aug[i][n + j], d) for j in range(B.cols)] for i in range(n)]
-    return RatMatrix(nv, out)
-
-
-def _transversal(pattern):
-    """A perfect matching of rows to columns on a square nonzero pattern.
-
-    pattern[i] lists the columns of row i's nonzero entries.  Returns
-    row_of with row_of[j] the row matched to column j, or None when no
-    perfect matching exists (the matrix is structurally singular).  Each
-    row is matched by an alternating-path search from it (MC21), which
-    takes a free column directly when the row has one.
-    """
-    n = len(pattern)
-    row_of = [None] * n
-    col_of = [None] * n
-    for start in range(n):
-        reached_from = {}
-        stack = [start]
-        free = None
-        while stack and free is None:
-            i = stack.pop()
-            for j in pattern[i]:
-                if j in reached_from:
-                    continue
-                reached_from[j] = i
-                if row_of[j] is None:
-                    free = j
-                    break
-                stack.append(row_of[j])
-        if free is None:
-            return None
-        j = free
-        while j is not None:
-            i = reached_from[j]
-            j_next = col_of[i]
-            row_of[j], col_of[i] = i, j
-            j = j_next
-    return row_of
-
-
-def _strong_components(deps):
-    """Tarjan's strongly connected components of the graph j -> deps[j].
-
-    Components come out dependencies first: every component is listed
-    after all the components it has an edge into.
-    """
-    n = len(deps)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, k = work.pop()
-            if k == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            edges = deps[v]
-            while k < len(edges):
-                w = edges[k]
-                k += 1
-                if index[w] is None:
-                    work.append((v, k))
-                    work.append((w, 0))
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    components.append(sorted(component))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-    return components
-
-
-def _inverse(p: RatFunc) -> RatFunc:
-    """1/p; a Laurent polynomial when p is a monomial with denominator 1."""
-    if p.num.is_monomial() and p.den.is_one():
-        return RatFunc(p.num ** -1)
-    return p.inverse()
+    return RatFunc(d, den_factor)
 
 
 def solve(M: RatMatrix, B: RatMatrix) -> RatMatrix:
     """Solve M X = B exactly (M square and invertible over F).
 
-    Block-triangular strategy (Duff-Reid): a maximum transversal matches
-    every unknown to a row with a nonzero entry there (none means M is
-    structurally singular), and the strongly connected components of
-    "unknown j's row mentions unknown l" order the unknowns so that each
-    block depends only on blocks solved before it.  Solved unknowns are
-    moved to the right-hand side.  A one-unknown block is one division,
-    by the exact inverse monomial when the pivot is a monomial, so braid
-    portions of a Fox system stay Laurent polynomials with denominator 1.
-    Blocks of two or more unknowns (cyclic cores from cups and caps) go
-    to the dense fraction-free Gauss-Jordan of _solve_dense.
+    The rows of (M B) are cleared of denominators and go through the
+    kernel of det and rank: monomial pivots (_unit_pivot_eliminate) carry
+    B's columns along, and Bareiss brings the leftover core to triangular
+    form U with last pivot d.  Fraction-free back-substitution then gives
+    every entry as one fraction N / d: first over the core, N_i =
+    (d b_i - sum_j U_ij N_j) / U_ii, an exact division, then over the
+    monomial pivots in reverse order, N_j = (d b_j - sum_c a_jc N_c) / p_j.
+    These are the N and d of fraction-free Gauss-Jordan on the core, and
+    d = 1 when no core is left, as for the Fox system of every braid.
     """
     if M.rows != M.cols:
         raise ShapeError("solve requires a square coefficient matrix")
     if M.rows != B.rows:
         raise ShapeError("right-hand side row count mismatch")
-    n = M.rows
-    nv = M.num_vars
-    a = M.entries
-    pattern = [[j for j in range(n) if not a[i][j].is_zero()] for i in range(n)]
-    row_of = _transversal(pattern)
-    if row_of is None:
-        raise SingularMatrixError("coefficient matrix is structurally singular")
-    deps = [[l for l in pattern[row_of[j]] if l != j] for j in range(n)]
-    X = [None] * n
-    for block in _strong_components(deps):
-        rows = [row_of[j] for j in block]
-        rhs = []
-        for r in rows:
-            row = B.entries[r]
-            for l in pattern[r]:
-                if X[l] is not None:
-                    m = a[r][l]
-                    row = [b if x.is_zero() else b - m * x for b, x in zip(row, X[l])]
-            rhs.append(row)
-        if len(block) == 1:
-            inv = _inverse(a[rows[0]][block[0]])
-            X[block[0]] = [b * inv for b in rhs[0]]
-        else:
-            core = RatMatrix(nv, [[a[r][j] for j in block] for r in rows])
-            sol = _solve_dense(core, RatMatrix(nv, rhs))
-            for j, x in zip(block, sol.entries):
-                X[j] = x
-    return RatMatrix(nv, X)
+    n, m, nv = M.rows, B.cols, M.num_vars
+    rows, _den = _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], nv)
+    pivots, core = _unit_pivot_eliminate(rows, nv, n, m)
+    d = LaurentPoly.one(nv)
+    N = {}
+    if core:
+        size = len(core)
+        _sign, steps, r = _bareiss_eliminate(core)
+        if r < size or steps[-1][1] != size - 1:
+            raise SingularMatrixError("coefficient matrix is singular over F")
+        d = core[-1][size - 1]
+        pivoted = {pivot[0] for pivot in pivots}
+        unknowns = [j for j in range(n) if j not in pivoted]
+        for i in reversed(range(size)):
+            U = core[i]
+            acc = [d * b for b in U[size:]]
+            for l in range(i + 1, size):
+                if U[l].terms:
+                    acc = [a - U[l] * x for a, x in zip(acc, N[unknowns[l]])]
+            N[unknowns[i]] = [a.exact_div(U[i]) for a in acc]
+    zero = LaurentPoly.zero(nv)
+    for j, _p, inverse, row in reversed(pivots):
+        acc = [d * row[n + k] if n + k in row else zero for k in range(m)]
+        for c, v in row.items():
+            if c < n:
+                acc = [a - v * x for a, x in zip(acc, N[c])]
+        N[j] = [a * inverse for a in acc]
+    return RatMatrix(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
 
 
 def rank(M: RatMatrix) -> int:
-    """Rank over F: unit pivots (_unit_pivot_eliminate) plus rank(core)."""
-    cleared, _den, _shift = _cleared_rows(M.entries, M.num_vars)
-    _unit, count, core = _unit_pivot_eliminate(cleared, M.num_vars, M.cols)
-    return count + (_bareiss_eliminate(core)[2] if core else 0)
+    """Rank over F: monomial pivots (_unit_pivot_eliminate) plus rank(core)."""
+    cleared, _den = _cleared_rows(M.entries, M.num_vars)
+    pivots, core = _unit_pivot_eliminate(cleared, M.num_vars, M.cols)
+    return len(pivots) + (_bareiss_eliminate(core)[2] if core else 0)
 
 
 def left_kernel_vector(M: RatMatrix):
     """A nonzero vector u with u M = 0, or None if the left kernel is trivial."""
     t = M.transpose()
     n = t.cols
-    cleared, _den, _shift = _cleared_rows(t.entries, t.num_vars)
+    zero = LaurentPoly.zero(t.num_vars)
+    cleared = [[row.get(j, zero) for j in range(n)] for row in _cleared_rows(t.entries, t.num_vars)[0]]
     original = [row[:] for row in cleared]
     _, pivots, r = _bareiss_eliminate(cleared)
     if r >= n:

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -342,7 +343,9 @@ def _process_file(path: str, opts_dict: dict) -> Tuple[str, int, str]:
         return path, EXIT_VIOLATION, "violation: %s: %s" % (type(exc).__name__, exc)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built on the first call, then shared by every run."""
     parser = _Parser(
         prog="stringlinks",
         description="Exact Gassner/Burau invariants of string links.",

@@ -8,12 +8,12 @@ the per-word record: it also carries the word, its traced Diagram and
 the FoxMatrix it solved, so the closure matrix, torsion, link polynomials
 and the walk oracle read them instead of tracing and solving the word
 again.  Both under-arc coefficients of every row are +-monomials, so
-the block-triangular `algebra.solve` resolves braid portions arc by arc
-with unit pivots, and gamma and Z of a braid are Laurent polynomials;
-only loops closed by cups and caps leave a cyclic block for dense
-elimination.  Columns follow the top-meridian basis: column j is the
-solution with top labels delta_{jk}, so stacking words multiplies
-matrices in diagram order.
+`algebra.solve` eliminates braid portions arc by arc on monomial pivots,
+and gamma and Z of a braid are Laurent polynomials; only loops closed by
+cups and caps can leave a core for fraction-free (Bareiss) elimination.
+Columns follow the top-meridian basis: column j is the solution with top
+labels delta_{jk}, so stacking words multiplies matrices in diagram
+order.
 
 Burau is the same solve with every strand colored 1, which is defined for
 words that permute colors as well; for a colorable word it equals gamma

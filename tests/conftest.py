@@ -97,6 +97,25 @@ def random_twisted_tangles(count: int, seed: int):
     return words
 
 
+def is_permuted_triangular(M) -> bool:
+    """Whether rows and columns of the square RatMatrix M permute to triangular.
+
+    Rows that mention a single live column are peeled off with their
+    column; the peeling stalls exactly when some unknowns depend on each
+    other in a cycle (or M is structurally singular).
+    """
+    live = {i: {j for j, x in enumerate(row) if not x.is_zero()}
+            for i, row in enumerate(M.entries)}
+    while live:
+        single = next((i for i, cols in live.items() if len(cols) == 1), None)
+        if single is None:
+            return False
+        (j,) = live.pop(single)
+        for cols in live.values():
+            cols.discard(j)
+    return True
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_words()

@@ -1,5 +1,6 @@
 """Closure matrices, torsion, Alexander polynomials, and their identities."""
 
+import dataclasses
 import random
 
 import pytest
@@ -58,6 +59,16 @@ class TestClosureMatrix:
         for name, word in corpus_words():
             V = closure_matrix(fox_of_word(word))
             assert V.V.rows == V.c and V.V.cols == V.c, name
+
+    @pytest.mark.parametrize("block", ["A", "B", "C"])
+    def test_perturbed_fox_matrix_fails_the_check(self, block):
+        # adding 1 to one entry of V adds w_j != 0 to one entry of V w
+        F = fox_of_word(add_twist(hopf(), 1))
+        rows = [row[:] for row in getattr(F, block).entries]
+        rows[-1][0] = rows[-1][0] + RatFunc.one(F.num_vars)
+        perturbed = dataclasses.replace(F, **{block: RatMatrix(F.num_vars, rows)})
+        with pytest.raises(VerificationError, match="does not annihilate w"):
+            closure_matrix(perturbed)
 
     def test_factorization_residual_zero_on_samples(self):
         for gens, n in (([1, 1], 2), ([1, -2], 3), ([1, 2, 1], 3)):

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 
 from stringlinks import algebra
-from stringlinks.algebra import SingularMatrixError, _solve_dense
+from stringlinks.algebra import SingularMatrixError, _cleared_rows, _unit_pivot_eliminate
+from stringlinks.gassner import solve_fox_system
 
 from stringlinks import (
     LaurentPoly,
@@ -27,6 +28,8 @@ from stringlinks import (
     taylor_expand,
     torsion,
 )
+
+from conftest import is_permuted_triangular
 
 
 def t(i, power=1, nv=2):
@@ -147,6 +150,55 @@ class TestRatMatrix:
             solve(M, RatMatrix.identity(1, 2))
 
 
+def _gauss_jordan(M, B):
+    """Solve M X = B by dense fraction-free Gauss-Jordan: the reference for solve.
+
+    Each row of (M B) is multiplied by its distinct denominators, then the
+    Bareiss one-step rule is applied to all rows, so every intermediate
+    entry stays a Laurent polynomial and each solution entry is a single
+    fraction N_ij / pivot.
+    """
+    n, nv = M.rows, M.num_vars
+    if n == 0:
+        return RatMatrix(nv, [])
+    width = n + B.cols
+    aug = []
+    for i in range(n):
+        row = M.entries[i] + B.entries[i]
+        dens = []
+        for x in row:
+            if not any(x.den == d for d in dens):
+                dens.append(x.den)
+        cleared = []
+        for x in row:
+            q = x.num
+            for d in dens:
+                if not (x.den == d):
+                    q = q * d
+            cleared.append(q)
+        aug.append(cleared)
+    prev = None
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if not aug[i][k].is_zero()), None)
+        if pivot_row is None:
+            raise SingularMatrixError("coefficient matrix is singular over F")
+        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+        piv = aug[k][k]
+        for i in range(n):
+            if i == k:
+                continue
+            fac = aug[i][k]
+            for j in range(width):
+                if j != k:
+                    num = piv * aug[i][j] - fac * aug[k][j]
+                    aug[i][j] = num if prev is None else num.exact_div(prev)
+            aug[i][k] = LaurentPoly.zero(nv)
+        prev = piv
+    d = aug[n - 1][n - 1]
+    return RatMatrix(nv, [[RatFunc(aug[i][n + j], d) for j in range(B.cols)]
+                          for i in range(n)])
+
+
 def _random_poly(rng, monomial=False, nv=2, unit=False):
     def exps():
         return tuple(rng.randint(-1, 1) for _ in range(nv))
@@ -165,22 +217,34 @@ def _random_entry(rng, monomial=False, fractions=False):
     return RatFunc(num)
 
 
-def _random_block_matrix(rng, blocks, monomial=0.5, fractions=False, fill=0.25):
-    """A shuffled block-lower-triangular matrix with the given diagonal block sizes."""
+def _two_terms(rng):
+    """c t^a + d t^b with a != b: never a monomial pivot."""
+    a, b = rng.sample([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], 2)
+    return RatFunc(LaurentPoly(2, {a: rng.choice([1, -1, 2]), b: rng.choice([1, -2, 3])}))
+
+
+def _random_block_matrix(rng, blocks, monomial=0.5, fractions=False, fill=0.25,
+                         cyclic_entry=None):
+    """A shuffled block-lower-triangular matrix with the given diagonal block sizes.
+
+    cyclic_entry(rng), when given, draws the entries inside blocks of two
+    or more.
+    """
     n = sum(blocks)
     zero = RatFunc.zero(2)
     M = [[zero] * n for _ in range(n)]
     start = 0
     for size in blocks:
+        draw = cyclic_entry if cyclic_entry and size > 1 else None
         for i in range(start, start + size):
-            M[i][i] = _random_entry(rng, rng.random() < monomial, fractions)
+            M[i][i] = draw(rng) if draw else _random_entry(rng, rng.random() < monomial, fractions)
             for j in range(start):
                 if rng.random() < fill:
                     M[i][j] = _random_entry(rng, fractions=fractions)
             if size > 1:
                 # a cycle through the block keeps it irreducible
                 j = start + (i - start + 1) % size
-                M[i][j] = _random_entry(rng, fractions=fractions)
+                M[i][j] = draw(rng) if draw else _random_entry(rng, fractions=fractions)
         start += size
     rows, cols = list(range(n)), list(range(n))
     rng.shuffle(rows)
@@ -194,7 +258,7 @@ def _random_rhs(rng, n, width, fractions=False):
 
 
 class TestBlockTriangularSolve:
-    """solve must agree with the dense reference on every block structure."""
+    """solve must agree with the Gauss-Jordan reference on every block structure."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_singleton_blocks_match_dense(self, seed):
@@ -202,7 +266,7 @@ class TestBlockTriangularSolve:
         M = _random_block_matrix(rng, [1] * 7)
         B = _random_rhs(rng, 7, 2)
         X = solve(M, B)
-        assert X == _solve_dense(M, B)
+        assert X == _gauss_jordan(M, B)
         assert M * X == B
 
     def test_monomial_pivots_keep_denominator_one(self):
@@ -216,7 +280,7 @@ class TestBlockTriangularSolve:
         rng = random.Random(100 + seed)
         M = _random_block_matrix(rng, [1, 3, 1, 2])
         B = _random_rhs(rng, 7, 1)
-        assert solve(M, B) == _solve_dense(M, B)
+        assert solve(M, B) == _gauss_jordan(M, B)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fraction_entries_and_rhs_match_dense(self, seed):
@@ -224,7 +288,7 @@ class TestBlockTriangularSolve:
         M = _random_block_matrix(rng, [1, 2, 1], fractions=True)
         B = _random_rhs(rng, 4, 1, fractions=True)
         X = solve(M, B)
-        assert X == _solve_dense(M, B)
+        assert X == _gauss_jordan(M, B)
         assert M * X == B
 
     def test_structurally_singular_raises(self):
@@ -327,7 +391,7 @@ class TestUnitPivotElimination:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_entries_with_negative_exponents(self, seed):
-        # monomials with coefficient 2 are no unit pivots; exponents run -1..1
+        # monomials with coefficient 2 are unit pivots too; exponents run -1..1
         rng = random.Random(500 + seed)
         M = _random_matrix(rng, 6, 6, monomial=0.7, density=0.45)
         assert any(m < 0 for row in M.entries for x in row if x.num.terms
@@ -391,6 +455,99 @@ class TestUnitPivotElimination:
         F = fox_of_word(from_braid_word(3, [1, -2, 1, 1, -2, 2, -1, -1]))
         assert torsion(F) == LaurentPoly.one(F.num_vars)
         assert rank(F.A.hstack(F.B)) == F.c
+
+
+def _eliminated(M, B):
+    """(pivots, core) of solve's monomial-pivot elimination of (M B)."""
+    rows, _den = _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], M.num_vars)
+    return _unit_pivot_eliminate(rows, M.num_vars, M.cols, B.cols)
+
+
+def _scaled_rows(M, factors):
+    """M with row i multiplied by the constant factors[i % len(factors)]."""
+    return RatMatrix(M.num_vars, [[x * RatFunc.const(M.num_vars, factors[i % len(factors)])
+                                   for x in row] for i, row in enumerate(M.entries)])
+
+
+class TestMonomialPivotSolve:
+    """solve against the Gauss-Jordan reference where the kernel does real work."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fill_in(self, seed):
+        rng = random.Random(1000 + seed)
+        M = _fox_like(rng, rng.randint(4, 7))
+        B = _random_rhs(rng, M.rows, 2)
+        assert not is_permuted_triangular(M)
+        X = solve(M, B)
+        assert X == _gauss_jordan(M, B)
+        assert M * X == B
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cyclic_blocks_share_one_core(self, seed):
+        # monomial singletons between blocks of two-term entries; a core
+        # with more rows than the largest block holds rows of two or more
+        rng = random.Random(1100 + seed)
+        M = _random_block_matrix(rng, [2, 1, 3, 1, 2], monomial=1.0, cyclic_entry=_two_terms)
+        B = _random_rhs(rng, M.rows, 2)
+        assert len(_eliminated(M, B)[1]) >= 4
+        X = solve(M, B)
+        assert X == _gauss_jordan(M, B)
+        assert M * X == B
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coefficient_two_and_three_pivots(self, seed):
+        rng = random.Random(1200 + seed)
+        M = _scaled_rows(_fox_like(rng, rng.randint(4, 6)), (2, -3))
+        B = _random_rhs(rng, M.rows, 2)
+        pivots, _core = _eliminated(M, B)
+        assert {abs(c) for _j, p, _inv, _row in pivots for c in p.terms.values()} & {2, 3}
+        X = solve(M, B)
+        assert X == _gauss_jordan(M, B)
+        assert M * X == B
+
+    def test_coefficient_two_and_three_triangular(self):
+        # every pivot a non-unit-coefficient monomial: no core, denominator 1
+        rng = random.Random(1250)
+        M = _scaled_rows(_random_block_matrix(rng, [1] * 6, monomial=1.0), (2, 3, -2))
+        B = _random_rhs(rng, 6, 2)
+        X = solve(M, B)
+        assert len(_eliminated(M, B)[1]) == 0
+        assert all(x.den.is_one() for row in X.entries for x in row)
+        assert X == _gauss_jordan(M, B)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rhs_with_denominators(self, seed):
+        rng = random.Random(1300 + seed)
+        M = _random_block_matrix(rng, [1, 2, 1, 1])
+        B = RatMatrix(2, [[RatFunc(_random_poly(rng), _random_poly(rng)) for _ in range(2)]
+                          for _ in range(M.rows)])
+        assert all(not x.den.is_one() for row in B.entries for x in row)
+        X = solve(M, B)
+        assert X == _gauss_jordan(M, B)
+        assert M * X == B
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_singular_core_raises(self, seed):
+        # one row of a nonsingular system is replaced by a combination of two others
+        rng = random.Random(1400 + seed)
+        base = _random_block_matrix(rng, [1, 3, 1, 2])
+        M = _dependent_rows(rng, base.submatrix(range(1, base.rows), range(base.cols)), 1)
+        B = _random_rhs(rng, M.rows, 1)
+        assert len(_eliminated(M, B)[1]) >= 2
+        with pytest.raises(SingularMatrixError):
+            solve(M, B)
+        with pytest.raises(SingularMatrixError):
+            _gauss_jordan(M, B)
+
+    @pytest.mark.parametrize("n, gens", [(3, [1, -2, 1, 1, -2, 2, -1, -1]),
+                                         (4, [1, 2, -3, 2, 1, 3, -1])])
+    def test_braid_fox_solve_never_reaches_bareiss(self, n, gens, monkeypatch):
+        def dense(mat):
+            raise AssertionError("monomial pivots left a core")
+
+        monkeypatch.setattr(algebra, "_bareiss_eliminate", dense)
+        gamma, Z = solve_fox_system(fox_of_word(from_braid_word(n, gens)))
+        assert all(x.den.is_one() for row in gamma.entries + Z.entries for x in row)
 
 
 def _parity(perm):

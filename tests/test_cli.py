@@ -63,6 +63,34 @@ class TestExitCodes:
         assert "violation" in err
 
 
+class TestParserCache:
+    def test_two_runs_build_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            assert invoke(["torsion", HOPF], capsys)[0] == 0
+            assert invoke(["gassner", TRIVIAL], capsys)[0] == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("stringlinks") == 1
+
+    def test_usage_error_after_a_run_exits_one(self, capsys):
+        assert invoke(["torsion", HOPF], capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["torsion", HOPF, "--order", "2"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == \
+            ["stringlinks: error: unrecognized arguments: --order 2"]
+
+
 class TestBadArguments:
     """Bad option values are usage errors (exit 1), never violations."""
 
