@@ -1,8 +1,8 @@
 """Closure Alexander matrices, string-link torsion, and the factorization
 identities connecting them.
 
-Identifying each top meridian generator with its bottom partner turns the
-Wirtinger-Fox blocks (A B C) into the square closure matrix V = (A+C B).
+Identifying each top meridian generator with its bottom partner folds the
+sparse Wirtinger-Fox rows (A B C) into the square closure matrix V = (A+C B).
 Minors of V give the multivariable Alexander polynomial of the closure;
 det(A B) is the torsion tau(L); and the two are tied to the Gassner
 matrix by
@@ -13,8 +13,8 @@ with Delta_L computed from minors of I - gamma(L).  Every identity here
 is checked exactly over the rational function field.
 
 full_report traces the word, builds (A B C) and solves it once; the
-resulting GassnerMatrix record carries the word, the diagram, the blocks
-and the solution, and knot_closure_relation reads it too.  Its
+resulting GassnerMatrix record carries the word, the diagram, the Fox
+rows and the solution, and knot_closure_relation reads it too.  Its
 one-variable link polynomial comes from collapsing the colored gamma
 (t_i -> t), which is exact because det(A B) augments to +-1, so no
 denominator collapses to zero.  Delta_closure is still taken from V's
@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     LaurentPoly,
     RatFunc,
     RatMatrix,
+    SparseMatrix,
     VerificationError,
     augment,
     det,
@@ -50,7 +51,7 @@ class ClosureMatrix:
     n: int
     c: int
     num_vars: int
-    V: RatMatrix
+    V: SparseMatrix
     column_colors: Tuple[int, ...]
 
 
@@ -148,46 +149,62 @@ def equal_up_to_units(a, b) -> bool:
     return normalize_unit(lhs) == normalize_unit(rhs)
 
 
+def _folded(F: FoxMatrix) -> SparseMatrix:
+    """V = (A+C B): a Fox row's cell in column c+k is added into column k."""
+    rows = []
+    for row in F.rows:
+        folded: Dict[int, LaurentPoly] = {}
+        for j, p in row.items():
+            k = j % F.c  # n <= c, so column c+k lands on k
+            folded[k] = folded[k] + p if k in folded else p
+        rows.append(folded)
+    return SparseMatrix(F.num_vars, F.c, rows)
+
+
 def closure_matrix(F: FoxMatrix) -> ClosureMatrix:
     """Identify top with bottom meridians: V = (A+C B).
 
     Requires the closure to make sense color-wise.  The row space of V
     annihilates the weight vector w with w_j = 1 - t_{alpha(j)}; this is
-    checked on the spot.
+    checked on the spot, in Laurent arithmetic over the nonzero cells.
     """
     if F.bottom_colors != F.top_colors:
         raise MorseError(
             "closure undefined: bottom colors %s != top colors %s"
             % (F.bottom_colors, F.top_colors)
         )
-    V = (F.A + F.C).hstack(F.B)
+    V = _folded(F)
     column_colors = F.column_colors[: F.c]
     nv = F.num_vars
     one = LaurentPoly.one(nv)
-    w = [RatFunc(one - LaurentPoly.var(nv, col - 1)) for col in column_colors]
-    for row in V.entries:
-        total = RatFunc.zero(nv)
-        for x, w_j in zip(row, w):
-            if x.num.terms:
-                total = total + x * w_j
-        if not total.is_zero():
+    w = [one - LaurentPoly.var(nv, col - 1) for col in column_colors]
+    for row in V.cells:
+        if sum((x * w[j] for j, x in row.items()), LaurentPoly.zero(nv)).terms:
             raise VerificationError("closure matrix does not annihilate w")
     return ClosureMatrix(F.n, F.c, nv, V, column_colors)
 
 
-def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> RatMatrix:
-    """Residual of V = (A B) * [[I - gamma, 0], [-Z, I]]; zero when exact."""
+def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> List[Dict[int, RatFunc]]:
+    """Nonzero cells of V - (A B) * [[I - gamma, 0], [-Z, I]], row by row.
+
+    Row k of the block is e_k less X_k = row k of [gamma; Z] (first n
+    columns), so row r of the product is (A B)_r - sum_k a_rk X_k over the
+    nonzeros a_rk.  V and the product are computed separately.
+    """
     if g.Z is None:
         raise VerificationError("gassner matrix carries no Z block")
-    n, c, nv = F.n, F.c, F.num_vars
-    V = (F.A + F.C).hstack(F.B)
-    AB = F.A.hstack(F.B)
-    block = RatMatrix.identity(nv, n) - g.entries
-    if c > n:
-        block = block.hstack(RatMatrix.zero(nv, n, c - n)).vstack(
-            (-g.Z).hstack(RatMatrix.identity(nv, c - n))
-        )
-    return V - AB * block
+    X = g.entries.entries + g.Z.entries
+    zero = RatFunc.zero(F.num_vars)
+    residual = []
+    for v_row, ab_row in zip(_folded(F).cells, F.ab().cells):
+        cells = {j: RatFunc(x) for j, x in v_row.items()}
+        for k, a in ab_row.items():
+            a = RatFunc(a)
+            cells[k] = cells.get(k, zero) - a
+            for j, x in enumerate(X[k]):
+                cells[j] = cells.get(j, zero) + a * x
+        residual.append({j: x for j, x in cells.items() if not x.is_zero()})
+    return residual
 
 
 def alexander_poly_closure(
@@ -205,11 +222,8 @@ def alexander_poly_closure(
     c, nv = V.c, V.num_vars
 
     def quotient(i: int, j: int) -> LaurentPoly:
-        minor = det(V.V.minor_matrix(i, j))
-        w = RatFunc(
-            LaurentPoly.one(nv) - LaurentPoly.var(nv, V.column_colors[j] - 1)
-        )
-        return _as_laurent(minor * w.inverse(), "closure polynomial")
+        w = LaurentPoly.one(nv) - LaurentPoly.var(nv, V.column_colors[j] - 1)
+        return _as_laurent(RatFunc(det(V.V.minor(i, j)).num, w), "closure polynomial")
 
     base = normalize_unit(quotient(0, 0))
     if base.is_zero() and rank(V.V) < c - 1:
@@ -257,8 +271,7 @@ def alexander_function(g: GassnerMatrix) -> RatFunc:
 
 def torsion(F: FoxMatrix) -> LaurentPoly:
     """det(A B): the torsion of the string link, unit-normalized."""
-    d = det(F.A.hstack(F.B))
-    tau = _as_laurent(d, "torsion")
+    tau = det(F.ab()).num
     if abs(augment(tau)) != 1:
         raise VerificationError("torsion augments to %s, not +-1" % augment(tau))
     return normalize_unit(tau)
@@ -275,8 +288,9 @@ def _collapsed(M: RatMatrix) -> RatMatrix:
 
 def _one_var_closure(V: ClosureMatrix) -> LaurentPoly:
     """det of the (1,1) minor of V with every variable collapsed to t."""
-    minor = det(_collapsed(V.V).minor_matrix(0, 0))
-    return normalize_unit(_as_laurent(minor, "one-variable closure polynomial"))
+    collapsed = SparseMatrix(1, V.c, [{j: x.collapse_vars() for j, x in row.items()}
+                                      for row in V.V.cells])
+    return normalize_unit(det(collapsed.minor(0, 0)).num)
 
 
 def _one_var_link(g: GassnerMatrix) -> RatFunc:
@@ -305,7 +319,7 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
     """Every Alexander-type invariant of a word, or of the record of one."""
     if isinstance(L, GassnerMatrix):
         if L.fox is None:
-            raise VerificationError("gassner matrix carries no Fox blocks")
+            raise VerificationError("gassner matrix carries no Fox matrix")
         g = L
         V = closure_matrix(g.fox)
     else:
@@ -318,8 +332,7 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
     nv = F.num_vars
 
     tau = torsion(F)
-    residual = factorization_identity(F, g)
-    residual_zero = residual.is_zero()
+    residual_zero = not any(factorization_identity(F, g))
 
     # The minor/(1 - t) closure formula is a multi-component statement;
     # it needs >= 2 closure components carrying distinct variables.
@@ -337,9 +350,7 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
                 RatFunc(delta_closure), RatFunc(tau) * delta_link
             )
 
-    tau_one = normalize_unit(
-        _as_laurent(RatFunc(tau).collapse_vars(), "one-variable torsion")
-    )
+    tau_one = normalize_unit(tau.collapse_vars())
     delta_closure_one = _one_var_closure(V)
     delta_link_one = _one_var_link(g)
     one_ok = equal_up_to_units(

@@ -18,12 +18,13 @@ Conventions:
     one biased field per variable), so a product adds keys and key order
     is the canonical term order.  Exponents may be negative; one that
     leaves its field raises AlgebraError.  `sorted_terms` unpacks.
-  * RatFunc fractions are NOT kept GCD-reduced.  Equality is decided by
-    cross-multiplication, which is exact and cheap enough at our sizes.
+  * RatFunc fractions are NOT kept GCD-reduced.  Equality compares the
+    numerators over an equal denominator, else cross-multiplies.
     A lightweight `reduced` pass (exact division, monomial/scalar content,
     univariate GCD) exists for presentation purposes only.
   * Canonical text form orders terms by (total degree, exponent tuple).
-  * `det`, `rank` and `solve` clear denominators row by row, then share
+  * `det`, `rank` and `solve` take a SparseMatrix of Laurent rows as it
+    is, and clear a RatMatrix of denominators row by row; then they share
     one sparse elimination: pivots that are monomials (units of the
     Laurent ring over Q, whatever their coefficient) go first, in
     Markowitz order, each a Schur complement step, and fraction-free
@@ -497,7 +498,8 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
 class RatFunc:
     """A fraction num/den of Laurent polynomials; den must be nonzero.
 
-    Fractions stay unreduced; equality is by cross-multiplication.
+    Fractions stay unreduced; equality compares numerators over an equal
+    denominator, else cross-multiplies.
     """
 
     __slots__ = ("num", "den")
@@ -642,6 +644,8 @@ class RatFunc:
             other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
@@ -718,10 +722,6 @@ class RatMatrix:
         return RatMatrix(num_vars, [[1 if i == j else 0 for j in range(n)]
                                     for i in range(n)])
 
-    @staticmethod
-    def zero(num_vars: int, rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(num_vars, [[0] * cols for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -734,11 +734,7 @@ class RatMatrix:
                            for j in range(self.cols)] for i in range(self.rows)])
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix subtraction shape mismatch")
-        return RatMatrix(self.num_vars,
-                         [[self.entries[i][j] - other.entries[i][j]
-                           for j in range(self.cols)] for i in range(self.rows)])
+        return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(self.num_vars,
@@ -778,24 +774,6 @@ class RatMatrix:
     def map(self, f) -> "RatMatrix":
         return RatMatrix(self.num_vars, [[f(x) for x in row] for row in self.entries])
 
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ShapeError("hstack row mismatch")
-        return RatMatrix(self.num_vars,
-                         [self.entries[i] + other.entries[i] for i in range(self.rows)])
-
-    def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise ShapeError("vstack column mismatch")
-        return RatMatrix(self.num_vars, list(self.entries) + list(other.entries))
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
-        return RatMatrix(self.num_vars,
-                         [[self.entries[i][j] for j in cols] for i in rows])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -807,6 +785,25 @@ class RatMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(x.to_text() for x in row) for row in self.entries)
         return f"RatMatrix[{body}]"
+
+
+class SparseMatrix:
+    """A matrix over the Laurent ring, kept as the {column: LaurentPoly} rows
+    of its nonzero cells (`cells`); det, rank and solve take it as it is."""
+
+    __slots__ = ("num_vars", "rows", "cols", "cells")
+
+    def __init__(self, num_vars: int, cols: int, cells: Sequence[Mapping[int, LaurentPoly]]):
+        self.num_vars = num_vars
+        self.cols = cols
+        self.cells = [{j: row[j] for j in sorted(row) if row[j].terms} for row in cells]
+        self.rows = len(self.cells)
+
+    def minor(self, i: int, j: int) -> "SparseMatrix":
+        """Delete row i and column j (0-based)."""
+        return SparseMatrix(self.num_vars, self.cols - 1,
+                            [{c - (c > j): p for c, p in row.items() if c != j}
+                             for r, row in enumerate(self.cells) if r != i])
 
 
 def _bareiss_eliminate(mat):
@@ -878,6 +875,13 @@ def _cleared_rows(rows, num_vars: int):
     return polys, den_factor
 
 
+def _laurent_rows(M):
+    """Fresh Laurent rows of M and the factor dividing their det."""
+    if isinstance(M, SparseMatrix):
+        return [dict(row) for row in M.cells], LaurentPoly.one(M.num_vars)
+    return _cleared_rows(M.entries, M.num_vars)
+
+
 def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
     """Sparse elimination on monomial pivots, in Markowitz order.
 
@@ -939,17 +943,17 @@ def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
     return pivots, core
 
 
-def det(M: RatMatrix) -> RatFunc:
+def det(M) -> RatFunc:
     """Determinant over F: det = prod(signed pivots) * det(core) / (row denominators).
 
-    Rows are cleared of denominators, monomial pivots are eliminated
-    sparsely (_unit_pivot_eliminate), and only the leftover core goes
-    through Bareiss elimination.
+    M is a RatMatrix or a SparseMatrix.  Its Laurent rows (_laurent_rows)
+    lose their monomial pivots sparsely (_unit_pivot_eliminate), and only
+    the leftover core goes through Bareiss elimination.
     """
     if M.rows != M.cols:
         raise ShapeError("determinant of a non-square matrix")
     nv = M.num_vars
-    cleared, den_factor = _cleared_rows(M.entries, nv)
+    cleared, den_factor = _laurent_rows(M)
     pivots, core = _unit_pivot_eliminate(cleared, nv, M.cols)
     d = LaurentPoly.one(nv)
     for _j, p, _inv, _row in pivots:
@@ -962,25 +966,28 @@ def det(M: RatMatrix) -> RatFunc:
     return RatFunc(d, den_factor)
 
 
-def solve(M: RatMatrix, B: RatMatrix) -> RatMatrix:
+def solve(M, B) -> RatMatrix:
     """Solve M X = B exactly (M square and invertible over F).
 
-    The rows of (M B) are cleared of denominators and go through the
-    kernel of det and rank: monomial pivots (_unit_pivot_eliminate) carry
-    B's columns along, and Bareiss brings the leftover core to triangular
-    form U with last pivot d.  Fraction-free back-substitution then gives
-    every entry as one fraction N / d: first over the core, N_i =
-    (d b_i - sum_j U_ij N_j) / U_ii, an exact division, then over the
-    monomial pivots in reverse order, N_j = (d b_j - sum_c a_jc N_c) / p_j.
-    These are the N and d of fraction-free Gauss-Jordan on the core, and
-    d = 1 when no core is left, as for the Fox system of every braid.
+    The rows of (M B), both SparseMatrix or both RatMatrix (then cleared
+    of denominators), go through the kernel of det and rank: monomial
+    pivots (_unit_pivot_eliminate) carry B's columns along, and Bareiss
+    brings the leftover core to triangular form U with last pivot d.
+    Fraction-free back-substitution gives every entry as one fraction
+    N / d: over the core, N_i = (d b_i - sum_j U_ij N_j) / U_ii, an exact
+    division, then over the monomial pivots in reverse order, N_j =
+    (d b_j - sum_c a_jc N_c) / p_j: the N and d of fraction-free
+    Gauss-Jordan on the core; d = 1 when no core is left (every braid).
     """
     if M.rows != M.cols:
         raise ShapeError("solve requires a square coefficient matrix")
     if M.rows != B.rows:
         raise ShapeError("right-hand side row count mismatch")
     n, m, nv = M.rows, B.cols, M.num_vars
-    rows, _den = _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], nv)
+    if isinstance(M, SparseMatrix):
+        rows = [{**a, **{n + k: v for k, v in b.items()}} for a, b in zip(M.cells, B.cells)]
+    else:
+        rows, _den = _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], nv)
     pivots, core = _unit_pivot_eliminate(rows, nv, n, m)
     d = LaurentPoly.one(nv)
     N = {}
@@ -1009,9 +1016,9 @@ def solve(M: RatMatrix, B: RatMatrix) -> RatMatrix:
     return RatMatrix(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
 
 
-def rank(M: RatMatrix) -> int:
+def rank(M) -> int:
     """Rank over F: monomial pivots (_unit_pivot_eliminate) plus rank(core)."""
-    cleared, _den = _cleared_rows(M.entries, M.num_vars)
+    cleared, _den = _laurent_rows(M)
     pivots, core = _unit_pivot_eliminate(cleared, M.num_vars, M.cols)
     return len(pivots) + (_bareiss_eliminate(core)[2] if core else 0)
 

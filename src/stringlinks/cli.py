@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -215,6 +216,8 @@ def _cmd_spectrum(word: MorseWord, opts) -> str:
                 "need %d angles (one per variable), got %d"
                 % (g.num_vars, len(angles))
             )
+        if not all(math.isfinite(2 * math.pi * a) for a in angles):
+            raise MorseError("angles a_j must keep 2 pi a_j finite, got %s" % opts.angles)
         try:
             report = unitary_spectrum_check(gt, angles)
         except PoleError:
@@ -335,7 +338,7 @@ def _process_file(path: str, opts_dict: dict) -> Tuple[str, int, str]:
     try:
         word = parse_morse(Path(path).read_text())
         return path, EXIT_OK, _HANDLERS[opts.subcommand](word, opts)
-    except (MorseError, OSError, ExponentRangeError) as exc:
+    except (MorseError, OSError, ExponentRangeError, UnicodeDecodeError) as exc:
         return path, EXIT_USAGE, "error: %s" % exc
     except VerificationError as exc:
         return path, EXIT_VIOLATION, "violation: %s" % exc

@@ -93,10 +93,6 @@ class MorseWord:
         if any((not isinstance(c, int)) or c < 1 for c in self.colors):
             raise MorseError("colors must be positive integers")
 
-    @property
-    def num_colors(self) -> int:
-        return max(self.colors)
-
     def validate(self):
         """Check slot ranges and strand-count bookkeeping for every event."""
         live = self.n

@@ -1,16 +1,16 @@
 """Gassner and Burau representations computed from the Fox linear system.
 
-gamma(L) is obtained by solving (A B) X = -C for the Wirtinger-Fox blocks
-of a traced diagram and keeping the top n rows of X; the remaining rows
-(the interior-arc block Z) are kept alongside because the closure-matrix
-factorization needs them.  The GassnerMatrix that `gassner` returns is
-the per-word record: it also carries the word, its traced Diagram and
-the FoxMatrix it solved, so the closure matrix, torsion, link polynomials
-and the walk oracle read them instead of tracing and solving the word
-again.  Both under-arc coefficients of every row are +-monomials, so
-`algebra.solve` eliminates braid portions arc by arc on monomial pivots,
-and gamma and Z of a braid are Laurent polynomials; only loops closed by
-cups and caps can leave a core for fraction-free (Bareiss) elimination.
+gamma(L) is obtained by solving (A B) X = -C on the sparse Fox rows of a
+traced diagram and keeping the top n rows of X; the remaining rows (the
+interior-arc block Z) are kept because the closure-matrix factorization
+needs them.  The GassnerMatrix that `gassner` returns is the per-word
+record: it also carries the word, its Diagram and its FoxMatrix, so the
+closure matrix, torsion, link polynomials and the walk oracle read them
+instead of tracing and solving the word again.  Both under-arc
+coefficients of every row are +-monomials, so `algebra.solve` eliminates
+braid portions arc by arc on monomial pivots, and gamma and Z of a braid
+are Laurent polynomials; only loops closed by cups and caps can leave a
+core for fraction-free (Bareiss) elimination.
 Columns follow the top-meridian basis: column j is the solution with top
 labels delta_{jk}, so stacking words multiplies matrices in diagram
 order.
@@ -40,6 +40,7 @@ from .algebra import (
     LaurentPoly,
     RatFunc,
     RatMatrix,
+    SparseMatrix,
     VerificationError,
     default_var_names,
     det,
@@ -53,7 +54,7 @@ from .wirtinger import FoxMatrix, fox_matrix, presentation
 
 @dataclass(frozen=True)
 class GassnerMatrix:
-    """gamma and Z of one word, with the word, diagram and Fox blocks they
+    """gamma and Z of one word, with the word, diagram and Fox matrix they
     came from.
 
     word, diagram and fox are None for a closed form such as full_twist;
@@ -99,12 +100,11 @@ class UnitaryReport:
 
 def solve_fox_system(fox: FoxMatrix) -> Tuple[RatMatrix, RatMatrix]:
     """Solve (A B) X = -C; return (gamma, Z) = (top n rows, the rest)."""
-    M = fox.A.hstack(fox.B)
-    X = solve(M, -fox.C)
-    n, c = fox.n, fox.c
-    gamma = X.submatrix(range(n), range(n))
-    Z = X.submatrix(range(n, c), range(n))
-    return gamma, Z
+    n, c, nv = fox.n, fox.c, fox.num_vars
+    minus_C = SparseMatrix(nv, n, [{j - c: -p for j, p in row.items() if j >= c}
+                                   for row in fox.rows])
+    X = solve(fox.ab(), minus_C).entries
+    return RatMatrix(nv, X[:n]), RatMatrix(nv, X[n:])
 
 
 def fox_of_word(word: MorseWord) -> FoxMatrix:
@@ -123,7 +123,7 @@ def gassner(word: MorseWord) -> GassnerMatrix:
 
 
 def _solved(word: MorseWord, diagram: Diagram, fox: FoxMatrix) -> GassnerMatrix:
-    """The record of a word whose diagram and Fox blocks are already built."""
+    """The record of a word whose diagram and Fox matrix are already built."""
     gamma, Z = solve_fox_system(fox)
     return GassnerMatrix(
         n=diagram.n,
@@ -254,7 +254,7 @@ def fixes_weight_vectors(g: GassnerMatrix) -> Tuple[bool, bool]:
     """
     w = weight_column(g.num_vars, g.colors)
     u = weight_row(g.num_vars, g.colors)
-    return (g.entries * w - w).is_zero(), (u * g.entries - u).is_zero()
+    return g.entries * w == w, u * g.entries == u
 
 
 def default_angles(n: int, num_vars: Optional[int] = None) -> List[float]:

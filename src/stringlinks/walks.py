@@ -34,6 +34,7 @@ from .algebra import (
     RatFunc,
     RatMatrix,
     VerificationError,
+    _coerce_entry,
     solve,
 )
 from .diagram import CrossNeg, CrossPos, Diagram, MorseWord, trace
@@ -43,14 +44,6 @@ from .gassner import GassnerMatrix
 @dataclass(frozen=True)
 class EdgeLabeling:
     labels: Tuple[RatFunc, ...]  # indexed by diagram edge id
-
-
-def _coerce_label(value, nv) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, LaurentPoly):
-        return RatFunc(value)
-    return RatFunc.const(nv, value)
 
 
 def solve_labeling(
@@ -69,7 +62,7 @@ def solve_labeling(
         )
     labels: List[Optional[RatFunc]] = [None] * diagram.num_edges
     for j, value in enumerate(top_labels):
-        labels[diagram.top_edges[j]] = _coerce_label(value, nv)
+        labels[diagram.top_edges[j]] = _coerce_entry(value, nv)
 
     # rule per non-top edge: (lhs, [(coeff, dep), ...]) meaning
     # label(lhs) = sum coeff * label(dep)

@@ -11,8 +11,9 @@ i.e. the outgoing meridian is the incoming one conjugated by the over
 meridian.  The generator basis is ordered (mu_1..mu_n, z_1..z_{c-n},
 mu'_1..mu'_n): bottom meridians, interior arcs, top meridians.  Fox
 differentiation of the relators with respect to that basis yields the
-block matrix (A B C) over the Laurent ring, with A the mu-columns, B the
-z-columns and C the mu'-columns.
+matrix (A B C) over the Laurent ring, with A the mu-columns, B the
+z-columns and C the mu'-columns.  A relator touches three arcs, and
+FoxMatrix keeps only the nonzero cells of each row.
 
 The Fox rules are applied to arbitrary words (d(uv) = du + eps(u) dv,
 d(g)/dg = 1, d(g^{-1})/dg = -eps(g)^{-1}), so positive and negative
@@ -27,15 +28,9 @@ determinants-up-to-units downstream are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .algebra import (
-    LaurentPoly,
-    RatMatrix,
-    VerificationError,
-    augment,
-    det,
-)
+from .algebra import LaurentPoly, SparseMatrix, VerificationError
 from .diagram import Diagram
 
 
@@ -61,17 +56,21 @@ class WirtingerPresentation:
 
 @dataclass(frozen=True)
 class FoxMatrix:
-    """Blocks of the Wirtinger-Fox matrix (A B C), entries Laurent polynomials."""
+    """The Wirtinger-Fox matrix (A B C): per relator, its nonzero cells
+    {column: LaurentPoly} in column order, columns (mu, z, mu')."""
 
     n: int
     c: int
     num_vars: int
-    A: RatMatrix
-    B: RatMatrix
-    C: RatMatrix
+    rows: Tuple[Dict[int, LaurentPoly], ...]
     column_colors: Tuple[int, ...]  # colors of (mu, z, mu') columns in order
     bottom_colors: Tuple[int, ...]
     top_colors: Tuple[int, ...]
+
+    def ab(self) -> SparseMatrix:
+        """(A B): the mu and z columns, c x c."""
+        return SparseMatrix(self.num_vars, self.c,
+                            [{j: p for j, p in row.items() if j < self.c} for row in self.rows])
 
 
 def presentation(diagram: Diagram) -> WirtingerPresentation:
@@ -119,51 +118,32 @@ def presentation(diagram: Diagram) -> WirtingerPresentation:
 
 
 def fox_matrix(pres: WirtingerPresentation) -> FoxMatrix:
-    """Differentiate every relator and split the rows into (A B C)."""
-    n, c, nv = pres.n, pres.c, pres.num_vars
+    """Differentiate every relator into one sparse row of (A B C)."""
+    nv = pres.num_vars
     gens = pres.generators
-    total = len(gens)
     rows = []
     for rel in pres.relators:
-        row = [{} for _ in range(total)]
+        cells: Dict[int, dict] = {}
         prefix = [0] * nv  # exponent vector of the running abelianized prefix
         for g, e in rel:
             v = gens[g].color - 1
-            if e == 1:
-                exps = tuple(prefix)
-                row[g][exps] = row[g].get(exps, 0) + 1
-                prefix[v] += 1
-            elif e == -1:
+            if e == -1:
                 prefix[v] -= 1
-                exps = tuple(prefix)
-                row[g][exps] = row[g].get(exps, 0) - 1
-            else:
+            elif e != 1:
                 raise VerificationError("relator exponents must be +1 or -1")
-        rows.append([LaurentPoly(nv, cell) for cell in row])
-
-    def block(col_lo, col_hi):
-        return RatMatrix(nv, [row[col_lo:col_hi] for row in rows])
+            cell = cells.setdefault(g, {})
+            exps = tuple(prefix)
+            cell[exps] = cell.get(exps, 0) + e
+            if e == 1:
+                prefix[v] += 1
+        rows.append({g: LaurentPoly(nv, cell) for g, cell in cells.items()})
 
     return FoxMatrix(
-        n=n,
-        c=c,
+        n=pres.n,
+        c=pres.c,
         num_vars=nv,
-        A=block(0, n),
-        B=block(n, c),
-        C=block(c, c + n),
+        rows=tuple(SparseMatrix(nv, len(gens), rows).cells),
         column_colors=tuple(g.color for g in gens),
         bottom_colors=pres.bottom_colors,
         top_colors=pres.top_colors,
     )
-
-
-def check_augmentation(fox: FoxMatrix) -> int:
-    """augment(det(A B)), which must be +1 or -1 for any traced diagram."""
-    d = det(fox.A.hstack(fox.B))
-    a = augment(d)
-    if abs(a) != 1:
-        raise VerificationError(
-            "det(A B) augments to %s, expected +1 or -1" % a
-        )
-    return int(a)
-

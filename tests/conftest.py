@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from stringlinks import MorseWord, add_twist, from_braid_word, gassner, parse_morse, trace
+from stringlinks.algebra import SparseMatrix
 from stringlinks.diagram import MorseError, add_kink, is_crossing
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -98,14 +99,18 @@ def random_twisted_tangles(count: int, seed: int):
 
 
 def is_permuted_triangular(M) -> bool:
-    """Whether rows and columns of the square RatMatrix M permute to triangular.
+    """Whether rows and columns of the square RatMatrix or SparseMatrix M
+    permute to triangular.
 
     Rows that mention a single live column are peeled off with their
     column; the peeling stalls exactly when some unknowns depend on each
     other in a cycle (or M is structurally singular).
     """
-    live = {i: {j for j, x in enumerate(row) if not x.is_zero()}
-            for i, row in enumerate(M.entries)}
+    if isinstance(M, SparseMatrix):
+        live = {i: set(row) for i, row in enumerate(M.cells)}
+    else:
+        live = {i: {j for j, x in enumerate(row) if not x.is_zero()}
+                for i, row in enumerate(M.entries)}
     while live:
         single = next((i for i, cols in live.items() if len(cols) == 1), None)
         if single is None:

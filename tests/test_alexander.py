@@ -33,7 +33,7 @@ from stringlinks import (
 )
 from stringlinks.algebra import VerificationError
 
-from conftest import braid_corpus_words, corpus_words, pure_corpus_words
+from conftest import CORPUS_DIR, braid_corpus_words, corpus_words, load, pure_corpus_words
 
 
 def hopf():
@@ -62,24 +62,47 @@ class TestClosureMatrix:
 
     @pytest.mark.parametrize("block", ["A", "B", "C"])
     def test_perturbed_fox_matrix_fails_the_check(self, block):
-        # adding 1 to one entry of V adds w_j != 0 to one entry of V w
+        # adding 1 to one cell of V adds w_j != 0 to one entry of V w
         F = fox_of_word(add_twist(hopf(), 1))
-        rows = [row[:] for row in getattr(F, block).entries]
-        rows[-1][0] = rows[-1][0] + RatFunc.one(F.num_vars)
-        perturbed = dataclasses.replace(F, **{block: RatMatrix(F.num_vars, rows)})
+        j = {"A": 0, "B": F.n, "C": F.c}[block]
+        rows = [dict(row) for row in F.rows]
+        rows[-1][j] = rows[-1].get(j, LaurentPoly.zero(F.num_vars)) + LaurentPoly.one(F.num_vars)
+        perturbed = dataclasses.replace(F, rows=tuple(rows))
         with pytest.raises(VerificationError, match="does not annihilate w"):
             closure_matrix(perturbed)
 
     def test_factorization_residual_zero_on_samples(self):
         for gens, n in (([1, 1], 2), ([1, -2], 3), ([1, 2, 1], 3)):
             word = from_braid_word(n, gens)
-            residual = factorization_identity(fox_of_word(word), gassner(word))
-            assert residual.is_zero(), gens
+            F = fox_of_word(word)
+            residual = factorization_identity(F, gassner(word))
+            assert len(residual) == F.c and not any(residual), gens
 
     def test_residual_zero_with_cups_and_caps(self):
         word = add_twist(hopf(), 1)
         residual = factorization_identity(fox_of_word(word), gassner(word))
-        assert residual.is_zero()
+        assert not any(residual)
+
+    @pytest.mark.parametrize("name", ["braid", "twist_s2.sl", "twisted_k1.sl"])
+    @pytest.mark.parametrize("part", ["entries", "Z"])
+    def test_perturbed_solution_leaves_a_residual(self, name, part):
+        # adding 1 to cell (k, 0) of X = [gamma; Z] moves residual row r by
+        # a_rk in column 0, for exactly the rows r where (A B) has a_rk != 0
+        if name == "braid":
+            g = gassner(from_braid_word(3, [1, -2, 1, 1, -2, 2, -1, -1]))
+        else:
+            g = gassner(load(CORPUS_DIR / name))
+            assert any(not x.den.is_one() for row in g.entries.entries for x in row)
+        F = g.fox
+        assert not any(factorization_identity(F, g))
+        rows = [row[:] for row in getattr(g, part).entries]
+        rows[-1][0] = rows[-1][0] + RatFunc.one(F.num_vars)
+        perturbed = dataclasses.replace(g, **{part: RatMatrix(F.num_vars, rows)})
+        k = (F.n if part == "entries" else F.c) - 1
+        hit = [r for r, row in enumerate(F.ab().cells) if k in row]
+        residual = factorization_identity(F, perturbed)
+        assert hit and [r for r, cells in enumerate(residual) if cells] == hit
+        assert all(list(residual[r]) == [0] for r in hit)
 
 
 class TestTorsion:

@@ -7,8 +7,15 @@ from itertools import combinations
 import pytest
 
 from stringlinks import algebra
-from stringlinks.algebra import SingularMatrixError, _cleared_rows, _unit_pivot_eliminate
+from stringlinks.algebra import (
+    SingularMatrixError,
+    SparseMatrix,
+    _cleared_rows,
+    _unit_pivot_eliminate,
+)
+from stringlinks.alexander import _folded
 from stringlinks.gassner import solve_fox_system
+from stringlinks.wirtinger import FoxMatrix
 
 from stringlinks import (
     LaurentPoly,
@@ -85,6 +92,31 @@ class TestRatFunc:
         a = RatFunc(t(0) * t(0), t(0))
         assert a == RatFunc(t(0))
 
+    def test_equality_over_equal_and_unequal_denominators(self):
+        one, zero = LaurentPoly.one(2), LaurentPoly.zero(2)
+        d = one - t(0) * t(1)
+        a = RatFunc(t(0), d)
+        # equal denominators: the numerators decide
+        assert a == RatFunc(t(0), d)
+        assert a != RatFunc(t(1), d)
+        assert RatFunc(zero, d) == RatFunc(zero, d)
+        assert RatFunc(zero, d) != a and a != RatFunc(zero, d)
+        # unequal denominators: cross-multiplication decides
+        assert a == RatFunc(t(0) * t(1), d * t(1))
+        assert a != RatFunc(t(0), d * t(1))
+        assert RatFunc(zero, d) == RatFunc.zero(2)
+        assert RatFunc(zero, d) != RatFunc(one, d * t(1))
+
+    def test_equal_denominators_skip_the_cross_products(self, monkeypatch):
+        d = LaurentPoly.one(2) - t(0) * t(1)
+        a, b, c = RatFunc(t(0), d), RatFunc(t(0), d), RatFunc(t(1), d)
+
+        def no_products(self, other):
+            raise AssertionError("cross-multiplied over an equal denominator")
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", no_products)
+        assert a == b and not a == c
+
     def test_field_identities(self):
         x = RatFunc(LaurentPoly.one(2) - t(0), t(1))
         assert x * x.inverse() == RatFunc.one(2)
@@ -135,13 +167,6 @@ class TestRatMatrix:
         M = RatMatrix(1, [[s, s], [s, s]])
         assert rank(M) == 1
         assert rank(RatMatrix.identity(1, 3)) == 3
-
-    def test_stack_shapes(self):
-        A = RatMatrix.identity(1, 2)
-        assert A.hstack(A).cols == 4
-        assert A.vstack(A).rows == 4
-        with pytest.raises(ShapeError):
-            A.hstack(RatMatrix.identity(1, 3))
 
     def test_singular_solve_raises(self):
         one = LaurentPoly.one(1)
@@ -329,12 +354,16 @@ def _laplace_det(M):
     return total
 
 
+def _submatrix(M, rows, cols):
+    return RatMatrix(M.num_vars, [[M[i, j] for j in cols] for i in rows])
+
+
 def _minor_rank(M):
     """The size of the largest nonzero minor, by cofactor expansion."""
     for k in range(min(M.rows, M.cols), 0, -1):
         for rows in combinations(range(M.rows), k):
             for cols in combinations(range(M.cols), k):
-                if not _laplace_det(M.submatrix(rows, cols)).is_zero():
+                if not _laplace_det(_submatrix(M, rows, cols)).is_zero():
                     return k
     return 0
 
@@ -420,7 +449,7 @@ class TestUnitPivotElimination:
         base = _fox_like(rng, 4) if seed % 2 else _random_matrix(rng, 4, 5, density=0.8)
         M = _dependent_rows(rng, base, 2)
         assert rank(M) == _minor_rank(M) == rank(base)
-        square = M.submatrix(range(M.cols), range(M.cols))
+        square = _submatrix(M, range(M.cols), range(M.cols))
         assert det(square) == _laplace_det(square)
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (1, 4), (4, 1)])
@@ -454,7 +483,7 @@ class TestUnitPivotElimination:
         monkeypatch.setattr(algebra, "_bareiss_eliminate", dense)
         F = fox_of_word(from_braid_word(3, [1, -2, 1, 1, -2, 2, -1, -1]))
         assert torsion(F) == LaurentPoly.one(F.num_vars)
-        assert rank(F.A.hstack(F.B)) == F.c
+        assert rank(F.ab()) == F.c
 
 
 def _eliminated(M, B):
@@ -531,7 +560,7 @@ class TestMonomialPivotSolve:
         # one row of a nonsingular system is replaced by a combination of two others
         rng = random.Random(1400 + seed)
         base = _random_block_matrix(rng, [1, 3, 1, 2])
-        M = _dependent_rows(rng, base.submatrix(range(1, base.rows), range(base.cols)), 1)
+        M = _dependent_rows(rng, _submatrix(base, range(1, base.rows), range(base.cols)), 1)
         B = _random_rhs(rng, M.rows, 1)
         assert len(_eliminated(M, B)[1]) >= 2
         with pytest.raises(SingularMatrixError):
@@ -548,6 +577,134 @@ class TestMonomialPivotSolve:
         monkeypatch.setattr(algebra, "_bareiss_eliminate", dense)
         gamma, Z = solve_fox_system(fox_of_word(from_braid_word(n, gens)))
         assert all(x.den.is_one() for row in gamma.entries + Z.entries for x in row)
+
+
+def _dense(S):
+    """The SparseMatrix S as a RatMatrix."""
+    return RatMatrix(S.num_vars, [[row.get(j, 0) for j in range(S.cols)] for row in S.cells])
+
+
+def _random_sparse(rng, rows, cols, per_row=3, monomial=0.6):
+    """Seeded Laurent rows of up to per_row cells: monomials with coefficient
+    1, -1 or 2, and two-term entries."""
+    return SparseMatrix(2, cols, [{j: _random_poly(rng, rng.random() < monomial)
+                                   for j in rng.sample(range(cols), min(per_row, cols))}
+                                  for _ in range(rows)])
+
+
+def _cancelling_fox(rng, n, c):
+    """Fox-like (A B C) rows of three cells each, and the (row, k) pairs
+    where the C cell in column c+k is minus the A cell in column k, so the
+    two cancel when A+C is folded (every other row has one)."""
+    rows, cancelled = [], []
+    for r in range(c):
+        row = {j: _random_poly(rng, rng.random() < 0.6) for j in rng.sample(range(c + n), 3)}
+        if r % 2:
+            k = rng.randrange(n)
+            row[k] = _random_poly(rng, monomial=True)
+            row[c + k] = -row[k]
+            cancelled.append((r, k))
+        rows.append(row)
+    colors = (1,) * (c + n)
+    fox = FoxMatrix(n=n, c=c, num_vars=2, rows=tuple(rows), column_colors=colors,
+                    bottom_colors=colors[:n], top_colors=colors[:n])
+    return fox, cancelled
+
+
+def _assert_kernel_agrees(S, B=None):
+    """det, rank and solve of S equal those of S as a RatMatrix and the references."""
+    D = _dense(S)
+    assert all(p.terms for row in S.cells for p in row.values())
+    assert rank(S) == rank(D) == _minor_rank(D)
+    if S.rows != S.cols:
+        return
+    assert det(S) == det(D) == _laplace_det(D)
+    if B is None:
+        return
+    if det(D).is_zero():
+        for args in ((S, B), (D, _dense(B))):
+            with pytest.raises(SingularMatrixError):
+                solve(*args)
+        with pytest.raises(SingularMatrixError):
+            _gauss_jordan(D, _dense(B))
+    else:
+        X = solve(S, B)
+        assert X == solve(D, _dense(B)) == _gauss_jordan(D, _dense(B))
+        assert D * X == _dense(B)
+
+
+class TestSparseEntry:
+    """det, rank and solve take a SparseMatrix as it is, and agree with the
+    same matrix given as a RatMatrix and with the test references."""
+
+    def test_zero_cells_are_dropped(self):
+        p, zero = LaurentPoly.one(2) - t(0), LaurentPoly.zero(2)
+        S = SparseMatrix(2, 3, [{2: p, 0: p - p}, {1: zero}])
+        assert S.cells == [{2: p}, {}]
+        assert (S.rows, S.cols) == (2, 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cells_cancel_when_folded(self, seed):
+        rng = random.Random(1500 + seed)
+        F, cancelled = _cancelling_fox(rng, 2, 5)
+        V = _folded(F)
+        assert cancelled and all(k not in V.cells[r] for r, k in cancelled)
+        dense = RatMatrix(2, [[RatFunc(row.get(j, LaurentPoly.zero(2))) +
+                               RatFunc(row.get(j + F.c, LaurentPoly.zero(2))) if j < F.n else
+                               row.get(j, 0) for j in range(F.c)] for row in F.rows])
+        assert _dense(V) == dense
+        _assert_kernel_agrees(V, _random_sparse(rng, F.c, 2))
+
+    def test_empty_rows_and_zero_columns(self):
+        rng = random.Random(1600)
+        cells = _random_sparse(rng, 4, 4).cells
+        cells[2] = {}
+        S = SparseMatrix(2, 4, [{j: p for j, p in row.items() if j != 1} for row in cells])
+        assert not S.cells[2] and all(1 not in row for row in S.cells)
+        assert det(S).is_zero()
+        _assert_kernel_agrees(S, _random_sparse(rng, 4, 2))
+        _assert_kernel_agrees(SparseMatrix(2, 3, [{}, {}]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coefficient_two_monomial_pivots(self, seed):
+        rng = random.Random(1700 + seed)
+        S = SparseMatrix(2, 5, [{j: p.scale(2) if p.is_monomial() else p for j, p in row.items()}
+                                for row in _random_sparse(rng, 5, 5, monomial=0.8).cells])
+        pivots, _core = _unit_pivot_eliminate([dict(row) for row in S.cells], 2, 5)
+        assert 2 in {abs(c) for _j, p, _inv, _row in pivots for c in p.terms.values()}
+        _assert_kernel_agrees(S, _random_sparse(rng, 5, 2))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (1, 4), (4, 1), (2, 6)])
+    def test_rectangular_rank(self, shape):
+        rng = random.Random(1800 + shape[0] * 10 + shape[1])
+        S = _random_sparse(rng, *shape, per_row=2)
+        _assert_kernel_agrees(S)
+        with pytest.raises(ShapeError):
+            det(S)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_singular_solve_raises(self, seed):
+        # the last row is a Laurent combination of two others
+        rng = random.Random(1900 + seed)
+        cells = _random_sparse(rng, 4, 5).cells
+        x, y = _random_poly(rng), _random_poly(rng)
+        combined = {j: x * cells[0].get(j, LaurentPoly.zero(2)) + y * cells[1].get(j, LaurentPoly.zero(2))
+                    for j in set(cells[0]) | set(cells[1])}
+        S = SparseMatrix(2, 5, cells + [combined])
+        B = _random_sparse(rng, 5, 2)
+        assert rank(S) < 5
+        with pytest.raises(SingularMatrixError):
+            solve(S, B)
+        _assert_kernel_agrees(S, B)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 4), (4, 0), (4, 4), (2, 1)])
+    def test_minor_at_the_ends(self, i, j):
+        rng = random.Random(2000)
+        S = _random_sparse(rng, 5, 5, per_row=4)
+        m = S.minor(i, j)
+        assert (m.rows, m.cols) == (4, 4)
+        assert _dense(m) == _dense(S).minor_matrix(i, j)
+        assert det(m) == _laplace_det(_dense(S).minor_matrix(i, j))
 
 
 def _parity(perm):

@@ -117,6 +117,14 @@ class TestBadArguments:
         assert code == 1
         assert "out of range" in err
 
+    @pytest.mark.parametrize("angles", ["nan,nan", "inf,0.1", "1e308,1e308"])
+    def test_spectrum_angles_that_are_not_finite(self, angles, capsys):
+        # nan and inf reach no eigenvalue solver; 2 pi * 1e308 overflows
+        code, out, err = invoke(["spectrum", HOPF, "--angles", angles], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_spectrum_pole_at_given_angles(self, capsys):
         code, out, err = invoke(["spectrum", HOPF, "--angles", "0,0"], capsys)
         assert code == 1
@@ -205,6 +213,16 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_file_not_utf8(self, command, tmp_path, capsys):
+        bad = tmp_path / "latin1.sl"
+        bad.write_bytes("# caf\u00e9\nbraid 2: s1 s1\n".encode("latin-1"))
+        code, out, err = invoke([command, str(bad), "--flips", "1"] if command == "altsum"
+                                else [command, str(bad)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_missing_file(self, command, tmp_path, capsys):

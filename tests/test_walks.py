@@ -15,7 +15,7 @@ from stringlinks import (
     twist_formula,
     walk_matrix,
 )
-from stringlinks.algebra import _cleared_rows, _unit_pivot_eliminate, augment
+from stringlinks.algebra import _unit_pivot_eliminate, augment
 
 from conftest import (
     corpus_words,
@@ -43,7 +43,7 @@ def test_walk_matches_fox_on_seeded_words():
 
 def fox_core_size(fox) -> int:
     """Size of the core that monomial pivots leave in solve's (A B -C)."""
-    rows, _den = _cleared_rows(fox.A.hstack(fox.B).hstack(-fox.C).entries, fox.num_vars)
+    rows = [{j: -p if j >= fox.c else p for j, p in row.items()} for row in fox.rows]
     _pivots, core = _unit_pivot_eliminate(rows, fox.num_vars, fox.c, fox.n)
     return len(core)
 
@@ -51,12 +51,12 @@ def fox_core_size(fox) -> int:
 def test_fox_and_walk_agree_on_twisted_tangles():
     words = random_twisted_tangles(10, seed=4)
     foxes = [fox_of_word(word) for word in words]
-    assert sum(not is_permuted_triangular(F.A.hstack(F.B)) for F in foxes) >= 8
+    assert sum(not is_permuted_triangular(F.ab()) for F in foxes) >= 8
     assert any(fox_core_size(F) for F in foxes)
     for word, F in zip(words, foxes):
         g = gassner(word)
         assert walk_matrix(trace(word)) == g.entries, word
-        assert factorization_identity(F, g).is_zero(), word
+        assert not any(factorization_identity(F, g)), word
         assert abs(augment(torsion(F))) == 1, word
 
 

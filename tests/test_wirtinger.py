@@ -8,7 +8,8 @@ from stringlinks import (
     from_braid_word,
     trace,
 )
-from stringlinks.wirtinger import check_augmentation, fox_matrix, presentation
+from stringlinks.algebra import augment, det
+from stringlinks.wirtinger import fox_matrix, presentation
 
 from conftest import corpus_words
 
@@ -40,17 +41,15 @@ def test_relator_abelianization_is_trivial():
 
 
 def test_fundamental_fox_identity_rowwise():
-    # sum over columns of entry * (t_color - 1) equals augment(relator) - 1 = 0
+    # sum over the nonzero cells of entry * (t_color - 1) equals
+    # augment(relator) - 1 = 0
     for name, word in corpus_words():
         F = full_fox(word)
-        full = F.A.hstack(F.B).hstack(F.C)
         nv = F.num_vars
-        for i in range(full.rows):
-            acc = None
-            for j in range(full.cols):
-                factor = LaurentPoly.var(nv, F.column_colors[j] - 1) - LaurentPoly.one(nv)
-                term = full[i, j] * type(full[i, j])(factor)
-                acc = term if acc is None else acc + term
+        for i, row in enumerate(F.rows):
+            acc = LaurentPoly.zero(nv)
+            for j, cell in row.items():
+                acc = acc + cell * (LaurentPoly.var(nv, F.column_colors[j] - 1) - LaurentPoly.one(nv))
             assert acc.is_zero(), (name, i)
 
 
@@ -60,15 +59,19 @@ def test_block_shapes():
     word = from_braid_word(3, [1, 2, 1])
     F = full_fox(word)
     assert F.c == 4
-    assert F.A.rows == F.c and F.A.cols == F.n
-    assert F.B.rows == F.c and F.B.cols == F.c - F.n
-    assert F.C.rows == F.c and F.C.cols == F.n
+    assert len(F.rows) == F.c
+    assert all(0 <= j < F.c + F.n and not cell.is_zero() for row in F.rows
+               for j, cell in row.items())
+    assert all(list(row) == sorted(row) and 2 <= len(row) <= 3 for row in F.rows)
+    AB = F.ab()
+    assert (AB.rows, AB.cols) == (F.c, F.c)
+    assert all(j < F.c for row in AB.cells for j in row)
     assert len(F.column_colors) == F.n + (F.c - F.n) + F.n
 
 
 def test_augmentation_is_unit_on_corpus():
     for name, word in corpus_words():
-        assert check_augmentation(full_fox(word)) in (+1, -1), name
+        assert augment(det(full_fox(word).ab())) in (+1, -1), name
 
 
 def test_column_colors_split_consistently():
