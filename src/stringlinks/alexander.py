@@ -14,12 +14,12 @@ is checked exactly over the rational function field.
 
 full_report traces the word, builds (A B C) and solves it once; the
 resulting GassnerMatrix record carries the word, the diagram, the Fox
-rows and the solution, and knot_closure_relation reads it too.  Its
-one-variable link polynomial comes from collapsing the colored gamma
-(t_i -> t), which is exact because det(A B) augments to +-1, so no
-denominator collapses to zero.  Delta_closure is still taken from V's
-own minors, never as tau * Delta_L, so the factorization check compares
-two separately computed sides.
+rows and the solution.  knot_closure_relation reads the report, so V of
+the word is folded once.  The one-variable link polynomial comes from
+collapsing the colored gamma (t_i -> t), which is exact because det(A B)
+augments to +-1, so no denominator collapses to zero.  Delta_closure is
+still taken from V's own minors, never as tau * Delta_L, so the
+factorization check compares two separately computed sides.
 """
 
 from __future__ import annotations
@@ -375,7 +375,7 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
 
 
 def knot_closure_relation(
-    L: Union[MorseWord, GassnerMatrix], B: Optional[Sequence[int]] = None
+    L: Union[MorseWord, GassnerMatrix, AlexReport], B: Optional[Sequence[int]] = None
 ) -> KnotClosureCheck:
     """Compare the closure polynomial of L with that of L stacked with a
     braid B, through the reduced Burau correction
@@ -383,11 +383,15 @@ def knot_closure_relation(
         Delta(closure of L) * det(I - rb(L) rb(B))
             = Delta(closure of L B) * det(I - rb(L))   (up to units).
 
-    L is a word or its record, which is then not traced or solved again.
+    L is a word, its record, which is then not traced or solved again, or
+    its full_report, whose one-variable closure polynomial is then reused.
     B defaults to the cycle braid s_1 s_2 ... s_{n-1}.  A vanishing
     det(I - rb(L) rb(B)) makes the relation degenerate; that is reported
     rather than decided.
     """
+    lhs = None
+    if isinstance(L, AlexReport):
+        lhs, L = L.delta_closure_one, L.record
     if isinstance(L, GassnerMatrix):
         if L.word is None:
             raise VerificationError("gassner matrix carries no word")
@@ -404,7 +408,8 @@ def knot_closure_relation(
     B = list(B)
 
     braid = from_braid_word(n, B) if B else MorseWord(n, L.colors, ())
-    lhs = _one_var_closure(closure_matrix(g.fox))
+    if lhs is None:
+        lhs = _one_var_closure(closure_matrix(g.fox))
 
     combined = MorseWord(n, braid.colors, tuple(L.events) + tuple(braid.events))
     rhs_closure = _one_var_closure(closure_matrix(fox_of_word(combined)))

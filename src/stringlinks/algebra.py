@@ -166,7 +166,7 @@ def _add_terms(a: dict, b: dict) -> dict:
     for k, c in b.items():
         s = out.get(k, 0) + c
         if s:
-            out[k] = s
+            out[k] = s if type(s) is int else _coeff(s)
         else:
             del out[k]
     return out
@@ -183,7 +183,8 @@ def _mul_terms(a: dict, b: dict, num_vars: int) -> dict:
         for kb, cb in b.items():
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    return _in_range({k: c for k, c in out.items() if c}, num_vars)
+    return _in_range({k: c if type(c) is int else _coeff(c)
+                      for k, c in out.items() if c}, num_vars)
 
 
 def _poly(num_vars: int, terms: dict) -> "LaurentPoly":
@@ -1011,8 +1012,8 @@ def solve(M, B) -> RatMatrix:
         acc = [d * row[n + k] if n + k in row else zero for k in range(m)]
         for c, v in row.items():
             if c < n:
-                acc = [a - v * x for a, x in zip(acc, N[c])]
-        N[j] = [a * inverse for a in acc]
+                acc = [a - v * x if x.terms else a for a, x in zip(acc, N[c])]
+        N[j] = [a * inverse if a.terms else a for a in acc]
     return RatMatrix(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
 
 

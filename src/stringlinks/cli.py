@@ -126,7 +126,7 @@ def _cmd_alexander(word: MorseWord, opts) -> str:
     }
     if opts.braid_b is not None:
         gens = _braid_generators(opts.braid_b, word.n)
-        check = knot_closure_relation(report.record, gens)
+        check = knot_closure_relation(report, gens)
         out["knot_closure"] = {
             "ok": check.ok,
             "degenerate": check.degenerate,

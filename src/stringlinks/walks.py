@@ -14,9 +14,9 @@ q_+ = 1 - t_u,  q_- = t_o^{-1} (t_u - 1).
 These are the summed weights of all downward walks: a walker entering an
 underpass either dives through (weight t_o^s) or jumps onto the over
 strand (weight q_s).  The matrix of bottom labels against delta top
-labels equals the Gassner matrix; the computation here never touches the
-Wirtinger/Fox code path, so agreement of the two is a genuine
-cross-check.
+labels equals the Gassner matrix; one pass of `solve_labeling` finds all
+n columns.  Only the algebra kernel is shared with the Wirtinger/Fox code
+path, so agreement of the two is a genuine cross-check.
 
 The closed-form effect of a negative horizontal twist on the first
 strand is also implemented here, plus its conjugated version for other
@@ -25,7 +25,6 @@ strands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -33,7 +32,9 @@ from .algebra import (
     PoleError,
     RatFunc,
     RatMatrix,
+    SparseMatrix,
     VerificationError,
+    _cleared_rows,
     _coerce_entry,
     solve,
 )
@@ -41,101 +42,97 @@ from .diagram import CrossNeg, CrossPos, Diagram, MorseWord, trace
 from .gassner import GassnerMatrix
 
 
-@dataclass(frozen=True)
-class EdgeLabeling:
-    labels: Tuple[RatFunc, ...]  # indexed by diagram edge id
-
-
 def solve_labeling(
-    diagram: Diagram, top_labels: Sequence, num_vars: Optional[int] = None
-) -> EdgeLabeling:
-    """The unique labeling extending the given top-edge labels.
+    diagram: Diagram, top_labels: Sequence[Sequence], num_vars: Optional[int] = None
+) -> Tuple[Tuple[RatFunc, ...], ...]:
+    """The unique labelings extending an n x m grid of top-edge labels.
 
-    Braid-like portions resolve by propagating away from the top; rules
-    left stalled by loops (cups/caps) form a small linear system that is
-    solved exactly.
+    Row j of top_labels labels top edge j, one column per labeling.
+    Returns, indexed by diagram edge id, each edge's m labels.  The top
+    labels are cleared to one denominator D; the rules then fire in
+    dependency order (Kahn's algorithm), each edge carrying m Laurent
+    numerators over D.  Rules left stalled by loops (cups/caps) form one
+    small linear system with m right-hand sides, solved exactly.
     """
     nv = num_vars if num_vars is not None else max(diagram.colors)
-    if len(top_labels) != diagram.n:
-        raise VerificationError(
-            "expected %d top labels, got %d" % (diagram.n, len(top_labels))
-        )
-    labels: List[Optional[RatFunc]] = [None] * diagram.num_edges
-    for j, value in enumerate(top_labels):
-        labels[diagram.top_edges[j]] = _coerce_entry(value, nv)
+    m = len(top_labels[0]) if top_labels else 0
+    if len(top_labels) != diagram.n or any(len(row) != m for row in top_labels):
+        raise VerificationError("expected an %d x m grid of top labels" % diagram.n)
+    flat = [_coerce_entry(x, nv) for row in top_labels for x in row]
+    (cleared,), den = _cleared_rows([flat], nv)
+    zero, one = LaurentPoly.zero(nv), LaurentPoly.one(nv)
+    labels: List[Optional[list]] = [None] * diagram.num_edges
+    for j, e in enumerate(diagram.top_edges):
+        labels[e] = [cleared.get(j * m + k, zero) for k in range(m)]
 
-    # rule per non-top edge: (lhs, [(coeff, dep), ...]) meaning
+    # rule per non-top edge: (lhs, ((coeff, dep), ...)) meaning
     # label(lhs) = sum coeff * label(dep)
-    one = RatFunc.one(nv)
     rules = []
     for ci, (o_in, o_out, u_in, u_out) in enumerate(diagram.crossing_edges):
-        cr = diagram.crossings[ci]
-        s = cr.sign
-        t_o_color = diagram.colors[diagram.edge_strand[o_out] - 1]
-        t_u_color = diagram.colors[diagram.edge_strand[u_out] - 1]
-        t_o = LaurentPoly.var(nv, t_o_color - 1)
-        t_u = LaurentPoly.var(nv, t_u_color - 1)
-        t_o_inv = LaurentPoly.var(nv, t_o_color - 1, -1)
-        rules.append((o_in, [(one, o_out)]))
-        if s == 1:
-            dive = RatFunc(t_o)
-            jump = RatFunc(LaurentPoly.one(nv) - t_u)
-        else:
-            dive = RatFunc(t_o_inv)
-            jump = RatFunc(t_o_inv * (t_u - LaurentPoly.one(nv)))
-        rules.append((u_in, [(dive, u_out), (jump, o_out)]))
+        sign = diagram.crossings[ci].sign
+        t_u = LaurentPoly.var(nv, diagram.colors[diagram.edge_strand[u_out] - 1] - 1)
+        dive = LaurentPoly.var(nv, diagram.colors[diagram.edge_strand[o_out] - 1] - 1, sign)
+        jump = one - t_u if sign == 1 else dive * (t_u - one)
+        rules.append((o_in, ((one, o_out),)))
+        rules.append((u_in, ((dive, u_out), (jump, o_out))))
 
-    pending = list(rules)
-    while pending:
-        progressed = False
-        stalled = []
-        for lhs, terms in pending:
-            if all(labels[d] is not None for _, d in terms):
-                total = RatFunc.zero(nv)
-                for coeff, d in terms:
-                    total = total + coeff * labels[d]
-                labels[lhs] = total
-                progressed = True
-            else:
-                stalled.append((lhs, terms))
-        pending = stalled
-        if not progressed:
-            break
+    # Kahn's algorithm: a rule fires once none of its dependencies is unknown.
+    unknown = [0] * len(rules)
+    readers: dict = {}
+    for r, (_lhs, terms) in enumerate(rules):
+        for _coeff, d in terms:
+            if labels[d] is None:
+                unknown[r] += 1
+                readers.setdefault(d, []).append(r)
+    ready = [r for r, k in enumerate(unknown) if not k]
+    while ready:
+        lhs, terms = rules[ready.pop()]
+        labels[lhs] = _combine(terms, labels, [zero] * m, one)
+        for r in readers.get(lhs, ()):
+            unknown[r] -= 1
+            if not unknown[r]:
+                ready.append(r)
 
-    if pending:
-        # Cyclic core: one unknown per stalled rule, solved exactly.
-        unknowns = sorted({lhs for lhs, _ in pending})
-        index = {e: k for k, e in enumerate(unknowns)}
-        size = len(unknowns)
-        if len(pending) != size:
+    out = [None if vec is None else tuple(RatFunc(x, den) for x in vec) for vec in labels]
+    stalled = [rules[r] for r, k in enumerate(unknown) if k]
+    if stalled:
+        # Cyclic core: one unknown per stalled rule, all m labelings at once.
+        index = {e: k for k, e in enumerate(sorted(lhs for lhs, _ in stalled))}
+        if len(index) != len(stalled):
             raise VerificationError("labeling system is not square")
-        zero = RatFunc.zero(nv)
-        M = [[zero for _ in range(size)] for _ in range(size)]
-        b = [[zero] for _ in range(size)]
-        for r, (lhs, terms) in enumerate(pending):
-            M[r][index[lhs]] = M[r][index[lhs]] + one
+        M, B = [], []
+        for lhs, terms in stalled:
+            row = {index[lhs]: one}
             for coeff, d in terms:
-                if labels[d] is not None:
-                    b[r][0] = b[r][0] + coeff * labels[d]
-                else:
-                    M[r][index[d]] = M[r][index[d]] - coeff
-        X = solve(RatMatrix(nv, M), RatMatrix(nv, b))
+                if labels[d] is None:
+                    row[index[d]] = row.get(index[d], zero) - coeff
+            M.append(row)
+            known = tuple(term for term in terms if labels[term[1]] is not None)
+            B.append(dict(enumerate(_combine(known, labels, [zero] * m, one))))
+        X = solve(SparseMatrix(nv, len(index), M), SparseMatrix(nv, m, B))
+        if not den.is_one():
+            X = X.map(lambda x: RatFunc(x.num, x.den * den))
         for e, k in index.items():
-            labels[e] = X[k, 0]
+            out[e] = tuple(X.entries[k])
+    return tuple(out)
 
-    return EdgeLabeling(tuple(labels))
+
+def _combine(terms, labels, total: list, one: LaurentPoly) -> list:
+    """total + sum coeff * labels[dep] over terms, cell by cell, skipping
+    zero cells; a coefficient that is the `one` object adds the label as is."""
+    for coeff, d in terms:
+        for k, x in enumerate(labels[d]):
+            if x.terms:
+                total[k] = total[k] + (x if coeff is one else coeff * x)
+    return total
 
 
 def walk_matrix(diagram: Diagram, num_vars: Optional[int] = None) -> RatMatrix:
     """G[i][j] = label of bottom edge i when the top labels are delta_j."""
     nv = num_vars if num_vars is not None else max(diagram.colors)
-    n = diagram.n
-    columns = []
-    for j in range(n):
-        top = [1 if k == j else 0 for k in range(n)]
-        labeling = solve_labeling(diagram, top, nv)
-        columns.append([labeling.labels[diagram.bottom_edges[i]] for i in range(n)])
-    return RatMatrix(nv, [[columns[j][i] for j in range(n)] for i in range(n)])
+    identity = [[int(i == j) for j in range(diagram.n)] for i in range(diagram.n)]
+    labels = solve_labeling(diagram, identity, nv)
+    return RatMatrix(nv, [labels[e] for e in diagram.bottom_edges])
 
 
 def _braid_walk_matrix(n, colors, events, num_vars) -> RatMatrix:

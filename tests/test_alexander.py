@@ -202,8 +202,12 @@ class TestKnotClosure:
         assert check.lhs.is_zero() and check.correction_num.is_zero()
 
     def test_record_gives_the_word_result(self, pure_corpus):
+        # a report's own one-variable closure polynomial serves as well
         for name, word in pure_corpus:
-            assert knot_closure_relation(gassner(word)) == knot_closure_relation(word), name
+            expected = knot_closure_relation(word)
+            g = gassner(word)
+            assert knot_closure_relation(g) == expected, name
+            assert knot_closure_relation(full_report(g)) == expected, name
 
     def test_record_without_word_rejected(self):
         with pytest.raises(VerificationError):

@@ -50,6 +50,12 @@ class TestLaurentPoly:
         assert t(0) * t(0, -1) == one
         assert (t(0) + t(1)) - (t(1) + t(0)) == LaurentPoly.zero(2)
 
+    def test_integral_fraction_products_and_sums_are_ints(self):
+        half = LaurentPoly.monomial(2, (1, 0), Fraction(1, 2))
+        for p in (half * LaurentPoly.const(2, 2), half + half, half - (-half)):
+            assert p == t(0)
+            assert [type(c) for c in p.terms.values()] == [int]
+
     def test_monomial_and_pow(self):
         m = LaurentPoly.monomial(2, (2, -1), Fraction(3))
         assert m == LaurentPoly.const(2, 3) * t(0) ** 2 * t(1, -1)
@@ -543,6 +549,17 @@ class TestMonomialPivotSolve:
         assert len(_eliminated(M, B)[1]) == 0
         assert all(x.den.is_one() for row in X.entries for x in row)
         assert X == _gauss_jordan(M, B)
+
+    def test_integral_results_of_fraction_pivots_are_ints(self):
+        # 1/2, 1/3 and -1/2 inverses meet the pivots' 2, 3 and -2 in
+        # integers; those coefficients come back as int, not Fraction(k, 1)
+        for seed in range(20):
+            rng = random.Random(1250 + seed)
+            M = _scaled_rows(_random_block_matrix(rng, [1] * 6, monomial=1.0), (2, 3, -2))
+            X = solve(M, _random_rhs(rng, 6, 2))
+            coeffs = [c for row in X.entries for x in row for c in x.num.terms.values()]
+            assert any(isinstance(c, Fraction) for c in coeffs), seed
+            assert not [c for c in coeffs if isinstance(c, Fraction) and c.denominator == 1], seed
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rhs_with_denominators(self, seed):

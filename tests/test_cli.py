@@ -288,6 +288,33 @@ class TestSubcommands:
         assert code == 0
         assert "agree" in out
 
+    @pytest.fixture
+    def tampered_walk(self, monkeypatch):
+        # the walk oracle, off by one in its (1, 1) cell
+        def walk_matrix(diagram, num_vars=None):
+            G = stringlinks.walk_matrix(diagram, num_vars)
+            entries = [list(row) for row in G.entries]
+            entries[0][0] = entries[0][0] + stringlinks.RatFunc.one(G.num_vars)
+            return stringlinks.RatMatrix(G.num_vars, entries)
+
+        monkeypatch.setattr(cli, "walk_matrix", walk_matrix)
+
+    @pytest.mark.parametrize("name", ["hopf.sl", "kink_on_hopf.sl"])
+    def test_walkcheck_fails_when_the_oracle_disagrees(self, name, tampered_walk, capsys):
+        code, out, err = invoke(["walkcheck", str(CORPUS_DIR / name)], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["violation: walk matrix disagrees with the Fox matrix"]
+
+    @pytest.mark.parametrize("name", ["hopf.sl", "kink_on_hopf.sl"])
+    def test_verify_fails_when_the_oracle_disagrees(self, name, tampered_walk, capsys):
+        code, out, err = invoke(["verify", str(CORPUS_DIR / name)], capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines[0] == "violation: identity failed: walk oracle agreement"
+        status = {line[6:].split("  ")[0]: line[:4].strip() for line in lines[1:]}
+        assert status.pop("walk oracle agreement") == "FAIL"
+        assert set(status.values()) == {"ok"}
+
     def test_twist_self_verifies(self, capsys):
         code, out, err = invoke(["twist", HOPF, "--strand", "2"], capsys)
         assert code == 0

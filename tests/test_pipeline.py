@@ -1,5 +1,6 @@
 """One trace, one Fox build and one solve per word record, the Taylor
-expansions per record, and the tracer's names.
+expansions per record, one walk labeling pass per walk oracle, and the
+tracer's names.
 
 The call counts are taken by wrapping each function in every stringlinks
 module that holds it, the same way slbench's tracer attributes time.
@@ -11,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from stringlinks import walks
 from stringlinks.cli import run
 
 from conftest import CORPUS_DIR
@@ -21,27 +23,39 @@ COUNTED = {
     "solve_fox_system": "gassner",
     "burau": "gassner",
     "factorization_identity": "alexander",
+    "closure_matrix": "alexander",
     "taylor_expand": "algebra",
     "rank": "algebra",
+    "solve_labeling": "walks",
 }
 
 # Per-word calls.  verify builds one record for the word and one for the
-# word stacked on itself; report and taylor build one record, altsum over
-# one flip two.  alexander --braid-b reads report's record for L and
-# traces only the combined word L B and the braid B (for burau).  Every
-# test word has n = 2, so each record expands n^2 = 4 entries.
+# word stacked on itself; report, taylor and walkcheck build one record,
+# altsum over one flip two.  alexander --braid-b reads report's record and
+# closure polynomial for L and folds V only for the combined word L B; it
+# traces only L B and the braid B (for burau).  The walk oracle labels all
+# n columns in one pass.  Every test word has n = 2, so each record
+# expands n^2 = 4 entries.
 TARGETS = {
     ("report",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
-                  "factorization_identity": 1, "taylor_expand": 0, "rank": 0},
+                  "factorization_identity": 1, "closure_matrix": 1, "taylor_expand": 0,
+                  "rank": 0, "solve_labeling": 0},
     ("verify",): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
-                  "factorization_identity": 1, "taylor_expand": 0, "rank": 0},
+                  "factorization_identity": 1, "closure_matrix": 1, "taylor_expand": 0,
+                  "rank": 0, "solve_labeling": 1},
     ("taylor",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
-                  "factorization_identity": 0, "taylor_expand": 4, "rank": 0},
+                  "factorization_identity": 0, "closure_matrix": 0, "taylor_expand": 4,
+                  "rank": 0, "solve_labeling": 0},
     ("altsum", "--flips", "1"): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
-                                 "factorization_identity": 0, "taylor_expand": 8, "rank": 0},
+                                 "factorization_identity": 0, "closure_matrix": 0,
+                                 "taylor_expand": 8, "rank": 0, "solve_labeling": 0},
     ("alexander", "--braid-b", "s1"): {"trace": 3, "fox_matrix": 3, "solve_fox_system": 2,
                                        "burau": 1, "factorization_identity": 1,
-                                       "taylor_expand": 0, "rank": 0},
+                                       "closure_matrix": 2, "taylor_expand": 0, "rank": 0,
+                                       "solve_labeling": 0},
+    ("walkcheck",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
+                     "factorization_identity": 0, "closure_matrix": 0, "taylor_expand": 0,
+                     "rank": 0, "solve_labeling": 1},
 }
 
 
@@ -73,6 +87,25 @@ def test_calls_per_word(argv, name, calls, capsys):
     assert run([*argv, str(CORPUS_DIR / name)]) == 0
     capsys.readouterr()
     assert {key: calls[key] for key in COUNTED} == TARGETS[argv]
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("walkcheck",)], ids=" ".join)
+@pytest.mark.parametrize("name, core_solves", [("hopf.sl", 0), ("kink_on_hopf.sl", 1)])
+def test_walk_core_is_solved_once(argv, name, core_solves, monkeypatch, capsys):
+    # hopf's walk rules all resolve by propagation; kink_on_hopf leaves a
+    # cyclic core, solved once for both columns.
+    sizes = []
+    original = walks.solve
+
+    def spy(M, B):
+        sizes.append((M.rows, B.cols))
+        return original(M, B)
+
+    monkeypatch.setattr(walks, "solve", spy)
+    assert run([*argv, str(CORPUS_DIR / name)]) == 0
+    capsys.readouterr()
+    assert len(sizes) == core_solves
+    assert all(rows > 0 and cols == 2 for rows, cols in sizes)
 
 
 def test_rank_only_when_the_first_closure_minor_vanishes(calls, capsys):
