@@ -142,11 +142,7 @@ def equal_up_to_units(a, b) -> bool:
     """Equality modulo multiplication by +-(monomial)."""
     ra = a if isinstance(a, RatFunc) else RatFunc(a)
     rb = b if isinstance(b, RatFunc) else RatFunc(b)
-    lhs = ra.num * rb.den
-    rhs = rb.num * ra.den
-    if lhs.is_zero() or rhs.is_zero():
-        return lhs.is_zero() and rhs.is_zero()
-    return normalize_unit(lhs) == normalize_unit(rhs)
+    return normalize_unit(ra.num * rb.den) == normalize_unit(rb.num * ra.den)
 
 
 def _folded(F: FoxMatrix) -> SparseMatrix:
@@ -184,26 +180,30 @@ def closure_matrix(F: FoxMatrix) -> ClosureMatrix:
     return ClosureMatrix(F.n, F.c, nv, V, column_colors)
 
 
-def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> List[Dict[int, RatFunc]]:
-    """Nonzero cells of V - (A B) * [[I - gamma, 0], [-Z, I]], row by row.
+def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> List[Dict[int, LaurentPoly]]:
+    """Nonzero cells of d V - (A B) * [[d I - N_gamma, 0], [-N_Z, d I]], row by row.
 
-    Row k of the block is e_k less X_k = row k of [gamma; Z] (first n
-    columns), so row r of the product is (A B)_r - sum_k a_rk X_k over the
-    nonzeros a_rk.  V and the product are computed separately.
+    [gamma; Z] = N / d over the one denominator d of the record's solve, so
+    this is d (V - (A B) * [[I - gamma, 0], [-Z, I]]).  Row r of the product
+    is d (A B)_r - sum_k a_rk N_k over the nonzeros a_rk, N_k being row k of
+    [N_gamma; N_Z]; d V and the product are computed separately.
     """
     if g.Z is None:
         raise VerificationError("gassner matrix carries no Z block")
     X = g.entries.entries + g.Z.entries
-    zero = RatFunc.zero(F.num_vars)
+    d = X[0][0].den
+    if any(x.den != d for row in X for x in row):
+        raise VerificationError("gassner matrix entries do not share one denominator")
+    times_d = (lambda p: p) if d.is_one() else d.__mul__  # d = 1 for every braid
     residual = []
     for v_row, ab_row in zip(_folded(F).cells, F.ab().cells):
-        cells = {j: RatFunc(x) for j, x in v_row.items()}
+        cells = {j: times_d(x) for j, x in v_row.items()}
         for k, a in ab_row.items():
-            a = RatFunc(a)
-            cells[k] = cells.get(k, zero) - a
+            cells[k] = cells[k] - times_d(a) if k in cells else -times_d(a)
             for j, x in enumerate(X[k]):
-                cells[j] = cells.get(j, zero) + a * x
-        residual.append({j: x for j, x in cells.items() if not x.is_zero()})
+                if x.num.terms:
+                    cells[j] = cells[j] + a * x.num if j in cells else a * x.num
+        residual.append({j: x for j, x in cells.items() if x.terms})
     return residual
 
 

@@ -33,8 +33,10 @@ Conventions:
     braid's det(A B) has no core at all.
   * `solve` carries the right-hand sides through the same elimination and
     back-substitutes fraction-free over the core's last Bareiss pivot d,
-    so every entry is one fraction N / d, and d = 1 when no core is left:
-    the Fox systems of braids never leave the Laurent ring.
+    divided by its unit (`normalize_unit`), so every entry is one fraction
+    N / d over one unit-normal d, and d = 1 when no core is left: the Fox
+    systems of braids never leave the Laurent ring.  Denominators equal up
+    to a unit are then equal, so `RatFunc.__eq__` skips cross-multiplying.
   * `taylor_expand` substitutes t_i = 1 - z_i by cached binomial rows of
     (1 - z_i)^k and divides by the denominator degree by degree in one
     pass, with `int` coefficients while they are integral.  A
@@ -482,14 +484,13 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
 
     Divides by the monomial of componentwise-minimal exponents, then flips
     the overall sign so the first term in canonical order has positive
-    coefficient.  The zero polynomial maps to itself.
+    coefficient.  Zero and a p already in that form are returned as is.
     """
     if p.is_zero():
         return p
-    q = p.shift(tuple(-x for x in p.min_exponents()))
-    if q.terms[min(q.terms)] < 0:
-        q = -q
-    return q
+    low = p.min_exponents()
+    q = p.shift(tuple(-x for x in low)) if any(low) else p
+    return -q if q.terms[min(q.terms)] < 0 else q
 
 
 # ============================================================
@@ -973,12 +974,12 @@ def solve(M, B) -> RatMatrix:
     The rows of (M B), both SparseMatrix or both RatMatrix (then cleared
     of denominators), go through the kernel of det and rank: monomial
     pivots (_unit_pivot_eliminate) carry B's columns along, and Bareiss
-    brings the leftover core to triangular form U with last pivot d.
-    Fraction-free back-substitution gives every entry as one fraction
-    N / d: over the core, N_i = (d b_i - sum_j U_ij N_j) / U_ii, an exact
-    division, then over the monomial pivots in reverse order, N_j =
-    (d b_j - sum_c a_jc N_c) / p_j: the N and d of fraction-free
-    Gauss-Jordan on the core; d = 1 when no core is left (every braid).
+    brings the leftover core to triangular form U; d is its last pivot
+    divided by its unit (`normalize_unit`).  Fraction-free back-substitution
+    gives every entry as one fraction N / d: over the core, N_i = (d b_i -
+    sum_j U_ij N_j) / U_ii, an exact division, then over the monomial pivots
+    in reverse order, N_j = (d b_j - sum_c a_jc N_c) / p_j: fraction-free
+    Gauss-Jordan on the core, up to a unit; d = 1 when no core is left.
     """
     if M.rows != M.cols:
         raise ShapeError("solve requires a square coefficient matrix")
@@ -997,7 +998,7 @@ def solve(M, B) -> RatMatrix:
         _sign, steps, r = _bareiss_eliminate(core)
         if r < size or steps[-1][1] != size - 1:
             raise SingularMatrixError("coefficient matrix is singular over F")
-        d = core[-1][size - 1]
+        d = normalize_unit(core[-1][size - 1])
         pivoted = {pivot[0] for pivot in pivots}
         unknowns = [j for j in range(n) if j not in pivoted]
         for i in reversed(range(size)):
@@ -1025,45 +1026,31 @@ def rank(M) -> int:
 
 
 def left_kernel_vector(M: RatMatrix):
-    """A nonzero vector u with u M = 0, or None if the left kernel is trivial."""
+    """A nonzero vector u of Laurent polynomials with u M = 0, or None if
+    the left kernel is trivial.
+
+    Bareiss brings the cleared rows of M^T to echelon form; its r nonzero
+    rows span the same row space, with pivot columns P.  For the first
+    free column f, one `solve` of E_P x = -E_f gives x = N / d, so
+    u_P = N, u_f = d and every other u_j = 0.
+    """
     t = M.transpose()
-    n = t.cols
-    zero = LaurentPoly.zero(t.num_vars)
-    cleared = [[row.get(j, zero) for j in range(n)] for row in _cleared_rows(t.entries, t.num_vars)[0]]
-    original = [row[:] for row in cleared]
-    _, pivots, r = _bareiss_eliminate(cleared)
-    if r >= n:
+    n, nv = t.cols, t.num_vars
+    zero = LaurentPoly.zero(nv)
+    echelon = [[row.get(j, zero) for j in range(n)] for row in _cleared_rows(t.entries, nv)[0]]
+    _sign, pivots, r = _bareiss_eliminate(echelon)
+    if r == n:
         return None
-    if r == n - 1:
-        # nullity one: Cramer's rule over the independent rows gives the
-        # kernel as signed maximal minors, far more compact than the
-        # fractions produced by back-substitution
-        if n == 1:
-            return [RatFunc.one(M.num_vars)]
-        rows = [original[pr] for (pr, _c) in pivots]
-        x = []
-        sign = 1
-        for j in range(n):
-            minor = RatMatrix(
-                M.num_vars,
-                [[row[c] for c in range(n) if c != j] for row in rows],
-            )
-            d = det(minor)
-            x.append(d if sign > 0 else -d)
-            sign = -sign
-        return x
-    pivot_cols = [c for (_r, c) in pivots]
-    free = [c for c in range(n) if c not in pivot_cols][0]
-    # back-substitute over F for the free column
-    x = [RatFunc.zero(M.num_vars) for _ in range(n)]
-    x[free] = RatFunc.one(M.num_vars)
-    for (pr, pc) in reversed(pivots):
-        acc = RatFunc.zero(M.num_vars)
-        for j in range(pc + 1, n):
-            if not cleared[pr][j].is_zero() and not x[j].is_zero():
-                acc = acc + RatFunc(cleared[pr][j]) * x[j]
-        x[pc] = -acc / RatFunc(cleared[pr][pc])
-    return x
+    P = [c for _r, c in pivots]
+    f = min(set(range(n)) - set(P))
+    rows = echelon[:r]
+    X = solve(SparseMatrix(nv, r, [{k: row[c] for k, c in enumerate(P)} for row in rows]),
+              SparseMatrix(nv, 1, [{0: -row[f]} for row in rows]))
+    u = [zero] * n
+    u[f] = X.entries[0][0].den if r else LaurentPoly.one(nv)
+    for (x,), c in zip(X.entries, P):
+        u[c] = x.num
+    return u
 
 
 # ============================================================

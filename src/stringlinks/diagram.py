@@ -528,6 +528,21 @@ def from_braid_word(n: int, word: Iterable[int]) -> MorseWord:
     return MorseWord(n, tuple(color_of), tuple(events))
 
 
+# The largest strand count and color value the parsers accept.  A color c
+# is the variable t_c, so this also bounds the variable count of every stage.
+MAX_STRANDS = 64
+
+
+def _strand_count(tok: str, line_no: int) -> int:
+    try:
+        n = int(tok)
+    except ValueError:
+        raise MorseError("bad strand count %r" % tok, line=line_no)
+    if not 1 <= n <= MAX_STRANDS:
+        raise MorseError("strand count %d is not in 1..%d" % (n, MAX_STRANDS), line=line_no)
+    return n
+
+
 def parse_braid_line(text: str, line_no: int = 1) -> MorseWord:
     """Parse the one-line braid shorthand `braid <n>: s1 s2' s1`."""
     body = text.strip()
@@ -537,10 +552,7 @@ def parse_braid_line(text: str, line_no: int = 1) -> MorseWord:
     parts = head.split()
     if len(parts) != 2 or parts[0] != "braid":
         raise MorseError("malformed braid header %r" % head, line=line_no)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise MorseError("bad strand count %r" % parts[1], line=line_no)
+    n = _strand_count(parts[1], line_no)
     return from_braid_word(n, _braid_generators(rest, n, line_no))
 
 
@@ -572,7 +584,8 @@ def parse_morse(text: str) -> MorseWord:
         x <i> +  |  x <i> -  |  cap <i>  |  cup <i> <  |  cup <i> >
         end
 
-    A single `braid <n>: s1 s2' ...` line is accepted as shorthand.
+    A single `braid <n>: s1 s2' ...` line is accepted as shorthand.  The
+    strand count and every color lie in 1..MAX_STRANDS.
     """
     lines = text.splitlines()
     items = []  # (line_no, tokens)
@@ -590,12 +603,7 @@ def parse_morse(text: str) -> MorseWord:
         return parse_braid_line(" ".join(toks), no)
     if toks[0] != "sl" or len(toks) != 2:
         raise MorseError("expected `sl <n>` header", line=no)
-    try:
-        n = int(toks[1])
-    except ValueError:
-        raise MorseError("bad strand count %r" % toks[1], line=no)
-    if n < 1:
-        raise MorseError("strand count must be positive", line=no)
+    n = _strand_count(toks[1], no)
 
     colors = tuple(range(1, n + 1))
     events = []
@@ -610,8 +618,8 @@ def parse_morse(text: str) -> MorseWord:
             colors = tuple(int(t) for t in toks[1:])
         except ValueError:
             raise MorseError("colors must be integers", line=no)
-        if any(c < 1 for c in colors):
-            raise MorseError("colors must be positive", line=no)
+        if not all(1 <= c <= MAX_STRANDS for c in colors):
+            raise MorseError("colors must be in 1..%d" % MAX_STRANDS, line=no)
         pos_in = 2
 
     def parse_pos(tok, no, upper):

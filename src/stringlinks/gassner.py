@@ -404,9 +404,12 @@ def invariant_form(n: int, samples: Sequence[MorseWord]) -> InvariantForm:
         raise VerificationError("invariant form: only the zero solution found")
     K = RatMatrix(nv, [[v[j * m + i] for j in range(m)] for i in range(m)])
     J = K + (-_star(K))
-    if all(J[i, j].is_zero() for i in range(m) for j in range(m)):
+    vanishes = lambda A: all(x.is_zero() for row in A.entries for x in row)
+    if vanishes(J):
         skew = RatFunc(LaurentPoly.var(nv, 0) - LaurentPoly.var(nv, 0, -1))
         J = K.map(lambda e: e * skew)
+    if vanishes(J):
+        raise VerificationError("invariant form: J = 0, which every sample fixes vacuously")
     if _star(J) != J.map(lambda e: -e):
         raise VerificationError("invariant form is not skew-hermitian")
     for gt in reduced:

@@ -322,6 +322,18 @@ class TestBlockTriangularSolve:
         assert X == _gauss_jordan(M, B)
         assert M * X == B
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_unit_normal_denominator(self, seed):
+        # solve divides the core's last pivot by its unit, so every entry
+        # shares one unit-normal d
+        rng = random.Random(250 + seed)
+        M = _random_block_matrix(rng, [2, 3], fractions=seed % 2 == 1)
+        B = _random_rhs(rng, 5, 2, fractions=seed % 2 == 1)
+        X = solve(M, B)
+        assert X == _gauss_jordan(M, B)
+        (d,) = {x.den for row in X.entries for x in row}
+        assert not d.is_one() and normalize_unit(d) == d
+
     def test_structurally_singular_raises(self):
         # rows 0 and 1 only mention column 0, so no perfect matching exists
         one, zero = LaurentPoly.one(2), LaurentPoly.zero(2)
@@ -722,6 +734,56 @@ class TestSparseEntry:
         assert (m.rows, m.cols) == (4, 4)
         assert _dense(m) == _dense(S).minor_matrix(i, j)
         assert det(m) == _laplace_det(_dense(S).minor_matrix(i, j))
+
+
+def _fraction_row(rng, cols, density=0.7):
+    """Laurent cells with Fraction coefficients, about `density` of them nonzero."""
+    zero = LaurentPoly.zero(2)
+    return [LaurentPoly(2, {tuple(rng.randint(-1, 1) for _ in range(2)):
+                            Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                            for _ in range(2)}) if rng.random() < density else zero
+            for _ in range(cols)]
+
+
+def _assert_left_kernel(M):
+    """The left kernel vector of M as a row, checked nonzero with u M = 0."""
+    u = RatMatrix(M.num_vars, [algebra.left_kernel_vector(M)])
+    assert any(not x.is_zero() for x in u.entries[0])
+    assert all(x.is_zero() for x in (u * M).entries[0])
+    return u
+
+
+class TestLeftKernelVector:
+    """u M = 0 for a nonzero u, whatever the row swaps of the echelon form."""
+
+    def test_zero_leading_row(self):
+        # M^T has a zero first row: echelon form swaps it down
+        M = RatMatrix(1, [[0, 0, 0], [1, 1, 0], [0, 1, 1]]).transpose()
+        assert _assert_left_kernel(M) == RatMatrix(1, [[1, -1, 1]])
+
+    @pytest.mark.parametrize("nullity", [1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_with_zero_leading_rows(self, nullity, seed):
+        # the right kernel of T is the left kernel of M = T^T
+        rng = random.Random(1600 + 10 * nullity + seed)
+        n = 4
+        zero_row = [LaurentPoly.zero(2)] * n
+        base = [_fraction_row(rng, n) for _ in range(n - nullity)]
+        combos = [[a.scale(Fraction(1, 2)) - b * c for a, b in zip(base[i], base[j])]
+                  for i, j, c in ((0, 1, t(0)), (1, 0, LaurentPoly.const(2, 3)))]
+        T = RatMatrix(2, [zero_row] * (1 + seed % 2) + base + combos)
+        assert rank(T) == n - nullity
+        _assert_left_kernel(T.transpose())
+
+    def test_independent_rows_have_no_left_kernel(self):
+        rng = random.Random(1650)
+        M = RatMatrix(2, [_fraction_row(rng, 4, density=1.0) for _ in range(3)])
+        assert rank(M) == 3
+        assert algebra.left_kernel_vector(M) is None
+
+    def test_zero_matrix(self):
+        u = _assert_left_kernel(RatMatrix(2, [[0, 0], [0, 0], [0, 0]]))
+        assert u == RatMatrix(2, [[1, 0, 0]])
 
 
 def _parity(perm):

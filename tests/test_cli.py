@@ -12,7 +12,7 @@ import stringlinks
 from stringlinks import cli, gassner, matrix_from_json, parse_morse
 from stringlinks.algebra import SingularMatrixError
 from stringlinks.cli import run
-from stringlinks.diagram import is_crossing
+from stringlinks.diagram import MAX_STRANDS, is_crossing
 
 from conftest import CORPUS_DIR
 
@@ -224,6 +224,18 @@ class TestBadInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("text", ["braid 100000000000000000000: s3\n",
+                                      "sl 2\ncolors 1 100000000000000000000\nend\n"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_value_past_the_strand_limit(self, command, text, tmp_path, capsys):
+        # the parser rejects the value, so no stage runs on it
+        bad = tmp_path / "huge.sl"
+        bad.write_text(text)
+        code, out, err = invoke([command, str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line ") and err.count("\n") == 1
+        assert "in 1..%d" % MAX_STRANDS in err
+
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_missing_file(self, command, tmp_path, capsys):
         code, out, err = invoke([command, str(tmp_path / "missing.sl")], capsys)
@@ -314,6 +326,24 @@ class TestSubcommands:
         status = {line[6:].split("  ")[0]: line[:4].strip() for line in lines[1:]}
         assert status.pop("walk oracle agreement") == "FAIL"
         assert set(status.values()) == {"ok"}
+
+    @pytest.fixture
+    def tampered_stack(self, monkeypatch):
+        # the doubled word of the stacking check, stacked once more
+        def stack(lower, upper):
+            return stringlinks.stack(stringlinks.stack(lower, upper), upper)
+
+        monkeypatch.setattr(cli, "stack", stack)
+
+    @pytest.mark.parametrize("name", ["hopf.sl", "kink_on_hopf.sl", "twist_s2.sl"])
+    def test_verify_fails_when_stacking_disagrees(self, name, tampered_stack, capsys):
+        code, out, err = invoke(["verify", str(CORPUS_DIR / name)], capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines[0] == "violation: identity failed: stacking multiplicativity"
+        status = {line[6:].split("  ")[0]: line[:4].strip() for line in lines[1:]}
+        assert status.pop("stacking multiplicativity") == "FAIL"
+        assert set(status.values()) <= {"ok", "skip"} and "ok" in status.values()
 
     def test_twist_self_verifies(self, capsys):
         code, out, err = invoke(["twist", HOPF, "--strand", "2"], capsys)

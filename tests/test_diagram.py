@@ -16,7 +16,7 @@ from stringlinks import (
     to_dsl,
     trace,
 )
-from stringlinks.diagram import CrossNeg, CrossPos, is_crossing
+from stringlinks.diagram import MAX_STRANDS, CrossNeg, CrossPos, is_crossing
 
 from conftest import corpus_paths
 
@@ -113,6 +113,31 @@ def test_parse_braid_line_errors():
         parse_braid_line("braid 2: s5")
     with pytest.raises(MorseError):
         parse_braid_line("braid two: s1")
+
+
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("braid %s: s3" % HUGE, r"line 1: strand count %s is not in 1\.\.64" % HUGE),
+    ("braid %d: s1" % (MAX_STRANDS + 1), "strand count 65 is not in"),
+    ("sl %s\nend\n" % HUGE, r"line 1: strand count %s is not in 1\.\.64" % HUGE),
+    ("sl 2\ncolors 1 %s\nend\n" % HUGE, r"line 2: colors must be in 1\.\.64"),
+    ("sl 2\ncolors %d 1\nend\n" % (MAX_STRANDS + 1), "line 2: colors must be in"),
+    ("sl 2\ncolors 0 1\nend\n", "line 2: colors must be in"),
+    ("braid 0: s1", "line 1: strand count 0 is not in"),
+])
+def test_strand_counts_and_colors_past_the_limit_are_parse_errors(text, message):
+    # only the parser runs: no stage ever sees a value past MAX_STRANDS
+    with pytest.raises(MorseError, match=message):
+        parse_morse(text)
+
+
+def test_the_limit_itself_parses():
+    assert MAX_STRANDS == 64
+    assert parse_morse("braid %d: s1" % MAX_STRANDS).n == MAX_STRANDS
+    word = parse_morse("sl 2\ncolors %d 1\nend\n" % MAX_STRANDS)
+    assert word.colors == (MAX_STRANDS, 1)
 
 
 def test_parse_morse_reports_line_numbers():

@@ -1,10 +1,12 @@
 """Colored matrix invariants: golden values, functoriality, unitarity."""
 
 import cmath
+import importlib
 
 import pytest
 
 from stringlinks import (
+    LaurentPoly,
     RatFunc,
     RatMatrix,
     VerificationError,
@@ -22,6 +24,7 @@ from stringlinks import (
     invert,
     matrix_from_json,
     matrix_to_json,
+    normalize_unit,
     numeric_eval,
     parse_ratfunc,
     reduce,
@@ -32,6 +35,9 @@ from stringlinks.diagram import CrossNeg, CrossPos, MorseWord
 from stringlinks.gassner import _star
 
 from conftest import corpus_words, random_pure_braids, random_twisted_tangles
+
+
+gassner_module = importlib.import_module("stringlinks.gassner")
 
 
 def rf(text, nv=2):
@@ -107,6 +113,33 @@ class TestFunctoriality:
         left = gassner(from_braid_word(4, [1, 3]))
         right = gassner(from_braid_word(4, [3, 1]))
         assert left.entries == right.entries
+
+
+@pytest.fixture(scope="module")
+def tangles_seed4():
+    return random_twisted_tangles(20, seed=4)
+
+
+def one_denominator(g):
+    """The denominator every entry of gamma and Z shares."""
+    dens = {x.den for row in g.entries.entries + g.Z.entries for x in row}
+    assert len(dens) == 1
+    return dens.pop()
+
+
+class TestStackingOverOneDenominator:
+    # Words whose solve leaves a core with a non-unit denominator d.  With d
+    # unit-normal, d(LL) is literally d(L)^2, so the stacking compare takes
+    # RatFunc's equal-denominator branch instead of cross-multiplying.
+    @pytest.mark.parametrize("index", [2, 5, 16])
+    def test_doubled_word_denominator_is_the_square(self, tangles_seed4, index):
+        word = tangles_seed4[index]
+        g, doubled = gassner(word), gassner(stack(word, word))
+        assert doubled.entries == g.entries * g.entries
+        d, dd = one_denominator(g), one_denominator(doubled)
+        assert not d.is_one()
+        assert normalize_unit(d) == d and normalize_unit(dd) == dd
+        assert dd == d * d
 
 
 class TestInvariance:
@@ -199,9 +232,17 @@ class TestInvariantForm:
         ]
         form = invariant_form(3, samples)
         J = form.J
+        assert any(not x.is_zero() for row in J.entries for x in row)
         for word in random_pure_braids(4, seed=31):
             gt = reduce(gassner(word)).entries
             assert _star(gt) * J * gt == J
+
+    def test_zero_form_is_refused(self, monkeypatch):
+        # J = 0 satisfies gt* J gt = J for every sample, so it proves nothing
+        monkeypatch.setattr(gassner_module, "left_kernel_vector",
+                            lambda M: [LaurentPoly.zero(M.num_vars)] * M.rows)
+        with pytest.raises(VerificationError, match="J = 0"):
+            invariant_form(2, [hopf()])
 
 
 class TestSerialization:

@@ -1,0 +1,39 @@
+"""tools/ladder.py: the rung recipe, the verify split and its per-stage cap."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
+spec = importlib.util.spec_from_file_location("ladder", PATH)
+ladder = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ladder)
+
+
+def test_rung_sizes_follow_the_recipe():
+    assert len(ladder.rung_word("t8").events) == 22
+    assert len(ladder.rung_word("t16").events) == 48
+
+
+def test_t8_split_runs_every_stage():
+    result = ladder.run_rung("t8", cap=60.0)
+    assert list(result["stages"]) == list(ladder.STAGES)
+    assert {e["status"] for e in result["stages"].values()} == {"ok"}
+    assert "| t8 (22 events) |" in ladder.table([result])
+
+
+def test_a_cap_hit_is_a_result():
+    # a stage past its cap is recorded with the cap as its time, and the
+    # stages that need its value are not run
+    result = ladder.run_rung("t8", cap=1e-4)
+    stages = result["stages"]
+    assert stages["gassner(L)"] == {"s": 1e-4, "status": "cap"}
+    assert stages["compare"] == {"s": None, "status": "not run"}
+    assert stages["walk compare"] == {"s": None, "status": "not run"}
+
+
+def test_unknown_rung_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        ladder.main(["t9"])
+    assert exc.value.code == 2
