@@ -39,8 +39,9 @@ from .algebra import (
     normalize_unit,
     rank,
 )
+from .algebra import _dot, _finished, _fma, _zero_key
 from .diagram import MorseError, MorseWord, from_braid_word, trace
-from .gassner import GassnerMatrix, _solved, burau, fox_of_word, reduce
+from .gassner import GassnerMatrix, _solved, burau, fox_of_word, numerators, reduce
 from .wirtinger import FoxMatrix, fox_matrix, presentation
 
 
@@ -175,7 +176,7 @@ def closure_matrix(F: FoxMatrix) -> ClosureMatrix:
     one = LaurentPoly.one(nv)
     w = [one - LaurentPoly.var(nv, col - 1) for col in column_colors]
     for row in V.cells:
-        if sum((x * w[j] for j, x in row.items()), LaurentPoly.zero(nv)).terms:
+        if _dot(((x, w[j]) for j, x in row.items()), nv).terms:
             raise VerificationError("closure matrix does not annihilate w")
     return ClosureMatrix(F.n, F.c, nv, V, column_colors)
 
@@ -190,20 +191,19 @@ def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> List[Dict[int, Lau
     """
     if g.Z is None:
         raise VerificationError("gassner matrix carries no Z block")
-    X = g.entries.entries + g.Z.entries
-    d = X[0][0].den
-    if any(x.den != d for row in X for x in row):
-        raise VerificationError("gassner matrix entries do not share one denominator")
-    times_d = (lambda p: p) if d.is_one() else d.__mul__  # d = 1 for every braid
+    X, d = numerators(g.entries.entries + g.Z.entries)
+    nv, zero = F.num_vars, _zero_key(F.num_vars)
+    unit = d.is_one()  # d = 1 for every braid: d V is V, with no product
     residual = []
     for v_row, ab_row in zip(_folded(F).cells, F.ab().cells):
-        cells = {j: times_d(x) for j, x in v_row.items()}
+        cells = {j: dict(x.terms) if unit else _fma({}, d.terms, x.terms, zero)
+                 for j, x in v_row.items()}
         for k, a in ab_row.items():
-            cells[k] = cells[k] - times_d(a) if k in cells else -times_d(a)
+            _fma(cells.setdefault(k, {}), d.terms, a.terms, zero, -1)
             for j, x in enumerate(X[k]):
-                if x.num.terms:
-                    cells[j] = cells[j] + a * x.num if j in cells else a * x.num
-        residual.append({j: x for j, x in cells.items() if x.terms})
+                if x.terms:
+                    _fma(cells.setdefault(j, {}), a.terms, x.terms, zero)
+        residual.append({j: p for j, acc in cells.items() if (p := _finished(acc, nv)).terms})
     return residual
 
 

@@ -18,6 +18,11 @@ Conventions:
     one biased field per variable), so a product adds keys and key order
     is the canonical term order.  Exponents may be negative; one that
     leaves its field raises AlgebraError.  `sorted_terms` unpacks.
+  * A sum of products fills one term dict (S. C. Johnson, SIGSAM Bull.
+    1974): `_fma` adds +-a*b into it, keeping zero cells, and `_finished`
+    range-checks every key touched, zero or not, before it drops zeros and
+    turns integral Fractions into ints.  A product is that loop on an
+    empty dict; solve, Bareiss and the Schur steps use it throughout.
   * RatFunc fractions are NOT kept GCD-reduced.  Equality compares the
     numerators over an equal denominator, else cross-multiplies.
     A lightweight `reduced` pass (exact division, monomial/scalar content,
@@ -50,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
-from operator import or_
+from operator import mul, or_
 from typing import Mapping, Sequence
 
 
@@ -174,19 +179,35 @@ def _add_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def _mul_terms(a: dict, b: dict, num_vars: int) -> dict:
+def _fma(acc: dict, a: dict, b: dict, zero: int, sign: int = 1) -> dict:
+    """acc += sign * a * b over packed terms (zero: the zero key), in place;
+    zero cells stay until `_finished` ends the sum."""
     if len(a) > len(b):
         a, b = b, a
-    zero = _zero_key(num_vars)
-    out: dict = {}
-    get = out.get
+    get = acc.get
     for ka, ca in a.items():
-        ka -= zero
+        ka, ca = ka - zero, -ca if sign < 0 else ca
         for kb, cb in b.items():
             k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return _in_range({k: c if type(c) is int else _coeff(c)
-                      for k, c in out.items() if c}, num_vars)
+            acc[k] = get(k, 0) + ca * cb
+    return acc
+
+
+def _finished(acc: dict, num_vars: int) -> "LaurentPoly":
+    """The polynomial an `_fma` accumulator sums to.  The range check reads
+    every key it touched, zero cells included, so an out-of-range term
+    cannot cancel unseen; then zero cells go and integral Fractions become
+    ints."""
+    return _poly(num_vars, {k: c if type(c) is int else _coeff(c)
+                            for k, c in _in_range(acc, num_vars).items() if c})
+
+
+def _dot(pairs, num_vars: int) -> "LaurentPoly":
+    """sum a * b over (a, b) pairs of LaurentPolys, in one accumulator."""
+    zero, acc = _zero_key(num_vars), {}
+    for a, b in pairs:
+        _fma(acc, a.terms, b.terms, zero)
+    return _finished(acc, num_vars)
 
 
 def _poly(num_vars: int, terms: dict) -> "LaurentPoly":
@@ -292,7 +313,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        return _poly(self.num_vars, _mul_terms(self.terms, other.terms, self.num_vars))
+        return _finished(_fma({}, self.terms, other.terms, _zero_key(self.num_vars)), self.num_vars)
 
     def scale(self, c) -> "LaurentPoly":
         c = _coeff(c)
@@ -339,11 +360,15 @@ class LaurentPoly:
                                            for e, c in self.sorted_terms()})
 
     def collapse_vars(self) -> "LaurentPoly":
-        """Specialize all variables to a single one: t_i -> t."""
-        out: dict = {}
-        for e, c in self.sorted_terms():
-            out[(sum(e),)] = out.get((sum(e),), 0) + c
-        return LaurentPoly(1, out)
+        """Specialize all variables to a single one: t_i -> t, whose
+        exponent is the term's packed total-degree field."""
+        field, bias = _layout(self.num_vars)
+        top, (field1, bias1) = field * self.num_vars, _layout(1)
+        out: dict = {}  # e + bias: the coefficient of t^e, keyed (e + bias1) (2^field1 + 1)
+        for k, c in self.terms.items():
+            out[k >> top] = out.get(k >> top, 0) + c
+        return _poly(1, {(e + bias1 - bias) * ((1 << field1) + 1): c if type(c) is int else _coeff(c)
+                         for e, c in out.items() if c})
 
     def eval_complex(self, point: Sequence[complex]) -> complex:
         if len(point) != self.num_vars:
@@ -542,14 +567,11 @@ class RatFunc:
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
+        return RatFunc(_dot(((self.num, other.den), (other.num, self.den)), self.num_vars),
                        self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        if self.den == other.den:
-            return RatFunc(self.num - other.num, self.den)
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        return self + (-other)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
@@ -835,10 +857,11 @@ def _bareiss_eliminate(mat):
             sign = -sign
         piv = mat[r][c]
         for i in range(r + 1, rows):
+            minus = -mat[i][c]
             for j in range(cols):
                 if j == c:
                     continue
-                num = piv * mat[i][j] - mat[i][c] * mat[r][j]
+                num = _dot(((piv, mat[i][j]), (minus, mat[r][j])), piv.num_vars)
                 mat[i][j] = num if prev is None else num.exact_div(prev)
             mat[i][c] = LaurentPoly.zero(piv.num_vars)
         pivots.append((r, c))
@@ -866,14 +889,7 @@ def _cleared_rows(rows, num_vars: int):
                 den_factor = den_factor * x.den
         # x.den (if nontrivial) is exactly one of dens, so multiplying by
         # the others gives x * prod(dens)
-        cleared = {}
-        for j, x in nonzero:
-            q = x.num
-            for d in dens:
-                if not (x.den == d):
-                    q = q * d
-            cleared[j] = q
-        polys.append(cleared)
+        polys.append({j: reduce(mul, [d for d in dens if d != x.den], x.num) for j, x in nonzero})
     return polys, den_factor
 
 
@@ -902,6 +918,7 @@ def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
     pivots) * det(core) when rows is square, and rank(rows) = len(pivots)
     + rank(core).
     """
+    zero = _zero_key(num_vars)
     live = dict(enumerate(rows))
     col_rows = {j: set() for j in range(cols + carried)}
     for i, row in live.items():
@@ -927,11 +944,11 @@ def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
         inverse = p ** -1
         for r in col_rows.pop(j) - {i}:
             row = live[r]
-            f = row.pop(j) * inverse
+            f = (row.pop(j) * inverse).terms
             for c, v in pivot_row.items():
-                x = row.get(c)
-                x = -(f * v) if x is None else x - f * v
-                if x.is_zero():
+                acc = dict(row[c].terms) if c in row else {}
+                x = _finished(_fma(acc, f, v.terms, zero, -1), num_vars)
+                if not x.terms:
                     del row[c]
                     col_rows[c].discard(r)
                 else:
@@ -940,8 +957,8 @@ def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
         for c in pivot_row:
             col_rows[c].discard(i)
         pivots.append((j, -p if position % 2 else p, inverse, pivot_row))
-    zero = LaurentPoly.zero(num_vars)
-    core = [[row.get(j, zero) for j in sorted(col_rows)] for _, row in sorted(live.items())]
+    empty = LaurentPoly.zero(num_vars)
+    core = [[row.get(j, empty) for j in sorted(col_rows)] for _, row in sorted(live.items())]
     return pivots, core
 
 
@@ -991,8 +1008,17 @@ def solve(M, B) -> RatMatrix:
     else:
         rows, _den = _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], nv)
     pivots, core = _unit_pivot_eliminate(rows, nv, n, m)
-    d = LaurentPoly.one(nv)
+    zero, d, empty = _zero_key(nv), LaurentPoly.one(nv), LaurentPoly.zero(nv)
     N = {}
+
+    def substituted(scale, b, products, k):
+        """scale * b - sum a * x[k] over products, in one accumulator."""
+        acc = {} if b is None else _fma({}, scale, b.terms, zero)
+        for a, x in products:
+            if x[k].terms:
+                _fma(acc, a, x[k].terms, zero, -1)
+        return _finished(acc, nv) if acc else empty
+
     if core:
         size = len(core)
         _sign, steps, r = _bareiss_eliminate(core)
@@ -1003,18 +1029,13 @@ def solve(M, B) -> RatMatrix:
         unknowns = [j for j in range(n) if j not in pivoted]
         for i in reversed(range(size)):
             U = core[i]
-            acc = [d * b for b in U[size:]]
-            for l in range(i + 1, size):
-                if U[l].terms:
-                    acc = [a - U[l] * x for a, x in zip(acc, N[unknowns[l]])]
-            N[unknowns[i]] = [a.exact_div(U[i]) for a in acc]
-    zero = LaurentPoly.zero(nv)
+            later = [(U[l].terms, N[unknowns[l]]) for l in range(i + 1, size) if U[l].terms]
+            N[unknowns[i]] = [substituted(d.terms, U[size + k], later, k).exact_div(U[i])
+                              for k in range(m)]
     for j, _p, inverse, row in reversed(pivots):
-        acc = [d * row[n + k] if n + k in row else zero for k in range(m)]
-        for c, v in row.items():
-            if c < n:
-                acc = [a - v * x if x.terms else a for a, x in zip(acc, N[c])]
-        N[j] = [a * inverse if a.terms else a for a in acc]
+        # p_j^-1 goes into each factor, not over the finished sum
+        start, later = (d * inverse).terms, [((v * inverse).terms, N[c]) for c, v in row.items() if c < n]
+        N[j] = [substituted(start, row.get(n + k), later, k) for k in range(m)]
     return RatMatrix(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
 
 
@@ -1098,9 +1119,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        product = _mul_terms(self.terms, other.terms, self.num_vars)
+        product = _fma({}, self.terms, other.terms, _zero_key(self.num_vars))
         return _series(self.num_vars, self.bound,
-                       _truncated(product, self.num_vars, self.bound))
+                       _truncated(_finished(product, self.num_vars).terms, self.num_vars, self.bound))
 
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(_pack(exps, self.num_vars), 0)

@@ -43,6 +43,7 @@ from .gassner import (
     gassner,
     matrix_to_json,
     reduce,
+    squared,
     unitary_spectrum_check,
 )
 from .walks import twist_formula, walk_matrix
@@ -253,7 +254,7 @@ def _verify_checks(word: MorseWord) -> List[Tuple[str, Optional[bool], str]]:
     # colors, so every word it returns a record for stacks on itself.
     g = gassner(word)
     doubled = gassner(stack(word, word))
-    ok = doubled.entries == g.entries * g.entries
+    ok = doubled.entries == squared(g)
     checks.append(("stacking multiplicativity", ok, "gamma(LL) = gamma(L)^2"))
 
     if g.diagram.is_pure:

@@ -13,6 +13,7 @@ their degree.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -36,38 +37,23 @@ class SeriesMatrix:
         return self.entries[i][j]
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        self._check(other)
-        return SeriesMatrix(
-            self.n, self.num_vars, self.bound,
-            tuple(
-                tuple(self.entries[i][j] + other.entries[i][j] for j in range(self.n))
-                for i in range(self.n)
-            ),
-        )
+        return self._cellwise(other, operator.add)
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        self._check(other)
-        return SeriesMatrix(
-            self.n, self.num_vars, self.bound,
-            tuple(
-                tuple(self.entries[i][j] - other.entries[i][j] for j in range(self.n))
-                for i in range(self.n)
-            ),
-        )
+        return self._cellwise(other, operator.sub)
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check(other)
         zero = TruncatedSeries.zero(self.num_vars, self.bound)
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = zero
-                for k in range(self.n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return SeriesMatrix(self.n, self.num_vars, self.bound, tuple(out))
+        cols = tuple(zip(*other.entries))
+        return SeriesMatrix(self.n, self.num_vars, self.bound, tuple(
+            tuple(sum((a * b for a, b in zip(row, col)), zero) for col in cols)
+            for row in self.entries))
+
+    def _cellwise(self, other: "SeriesMatrix", op) -> "SeriesMatrix":
+        self._check(other)
+        return SeriesMatrix(self.n, self.num_vars, self.bound, tuple(
+            tuple(map(op, row, other_row)) for row, other_row in zip(self.entries, other.entries)))
 
     def _check(self, other: "SeriesMatrix"):
         if (self.n, self.num_vars, self.bound) != (other.n, other.num_vars, other.bound):

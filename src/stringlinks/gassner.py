@@ -48,6 +48,7 @@ from .algebra import (
     parse_ratfunc,
     solve,
 )
+from .algebra import _dot
 from .diagram import Diagram, MorseError, MorseWord, from_braid_word, trace
 from .wirtinger import FoxMatrix, fox_matrix, presentation
 
@@ -105,6 +106,23 @@ def solve_fox_system(fox: FoxMatrix) -> Tuple[RatMatrix, RatMatrix]:
                                    for row in fox.rows])
     X = solve(fox.ab(), minus_C).entries
     return RatMatrix(nv, X[:n]), RatMatrix(nv, X[n:])
+
+
+def numerators(rows) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
+    """(N, d) of RatFunc rows N / d over one denominator d, as `solve`
+    returns them; VerificationError if the entries do not share one."""
+    d = rows[0][0].den
+    if any(x.den != d for row in rows for x in row):
+        raise VerificationError("gassner matrix entries do not share one denominator")
+    return [[x.num for x in row] for row in rows], d
+
+
+def squared(g: GassnerMatrix) -> RatMatrix:
+    """gamma^2 as N N / d^2 over the one denominator d of the record's
+    solve, each entry one accumulated sum of products."""
+    N, d = numerators(g.entries.entries)
+    nv, dd = g.num_vars, d * d
+    return RatMatrix(nv, [[RatFunc(_dot(zip(row, col), nv), dd) for col in zip(*N)] for row in N])
 
 
 def fox_of_word(word: MorseWord) -> FoxMatrix:
@@ -197,15 +215,8 @@ def full_twist(n: int) -> GassnerMatrix:
     w = [one - LaurentPoly.var(nv, i) for i in range(n)]
     u = [LaurentPoly.monomial(nv, tuple(-1 if k <= i else 0 for k in range(nv)))
          for i in range(n)]
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = w[i] * u[j]
-            if i == j:
-                cell = cell + one
-            row.append(prod_all * cell)
-        entries.append(row)
+    entries = [[prod_all * (w[i] * u[j] + LaurentPoly.const(nv, int(i == j))) for j in range(n)]
+               for i in range(n)]
     return GassnerMatrix(
         n=n,
         num_vars=nv,
@@ -300,16 +311,9 @@ def charpoly_coefficients(matrix: RatMatrix) -> List[RatFunc]:
     m = matrix.rows
     nv = matrix.num_vars
     x = LaurentPoly.var(nv + 1, nv)
-    lifted = []
+    lifted = [[RatFunc(_lift_poly(e.num), _lift_poly(e.den)) for e in row] for row in matrix.entries]
     for i in range(m):
-        row = []
-        for j in range(m):
-            entry = matrix[i, j]
-            cell = RatFunc(_lift_poly(entry.num), _lift_poly(entry.den))
-            if i == j:
-                cell = cell - RatFunc(x)
-            row.append(cell)
-        lifted.append(row)
+        lifted[i][i] = lifted[i][i] - RatFunc(x)
     d = det(RatMatrix(nv + 1, lifted))
     den_terms, num_terms = d.den.sorted_terms(), d.num.sorted_terms()
     if any(e[-1] != 0 for e, _ in den_terms):
@@ -363,15 +367,8 @@ def _star(matrix: RatMatrix) -> RatMatrix:
 
 
 def _kron(P: RatMatrix, Q: RatMatrix) -> RatMatrix:
-    rows = []
-    for i1 in range(P.rows):
-        for i2 in range(Q.rows):
-            row = []
-            for j1 in range(P.cols):
-                for j2 in range(Q.cols):
-                    row.append(P[i1, j1] * Q[i2, j2])
-            rows.append(row)
-    return RatMatrix(P.num_vars, rows)
+    return RatMatrix(P.num_vars, [[a * b for a in p for b in q]
+                                  for p in P.entries for q in Q.entries])
 
 
 def invariant_form(n: int, samples: Sequence[MorseWord]) -> InvariantForm:

@@ -36,6 +36,9 @@ from .algebra import (
     VerificationError,
     _cleared_rows,
     _coerce_entry,
+    _finished,
+    _fma,
+    _zero_key,
     solve,
 )
 from .diagram import CrossNeg, CrossPos, Diagram, MorseWord, trace
@@ -87,7 +90,7 @@ def solve_labeling(
     ready = [r for r, k in enumerate(unknown) if not k]
     while ready:
         lhs, terms = rules[ready.pop()]
-        labels[lhs] = _combine(terms, labels, [zero] * m, one)
+        labels[lhs] = _combine(terms, labels, m, one)
         for r in readers.get(lhs, ()):
             unknown[r] -= 1
             if not unknown[r]:
@@ -108,7 +111,7 @@ def solve_labeling(
                     row[index[d]] = row.get(index[d], zero) - coeff
             M.append(row)
             known = tuple(term for term in terms if labels[term[1]] is not None)
-            B.append(dict(enumerate(_combine(known, labels, [zero] * m, one))))
+            B.append(dict(enumerate(_combine(known, labels, m, one))))
         X = solve(SparseMatrix(nv, len(index), M), SparseMatrix(nv, m, B))
         if not den.is_one():
             X = X.map(lambda x: RatFunc(x.num, x.den * den))
@@ -117,14 +120,19 @@ def solve_labeling(
     return tuple(out)
 
 
-def _combine(terms, labels, total: list, one: LaurentPoly) -> list:
-    """total + sum coeff * labels[dep] over terms, cell by cell, skipping
-    zero cells; a coefficient that is the `one` object adds the label as is."""
+def _combine(terms, labels, m: int, one: LaurentPoly) -> list:
+    """sum coeff * labels[dep] over terms, one accumulator per cell,
+    skipping zero cells; a lone `one` coefficient shares the label."""
+    if len(terms) == 1 and terms[0][0] is one:
+        return labels[terms[0][1]]
+    nv = one.num_vars
+    zero, cells = _zero_key(nv), [{} for _ in range(m)]
     for coeff, d in terms:
-        for k, x in enumerate(labels[d]):
+        for acc, x in zip(cells, labels[d]):
             if x.terms:
-                total[k] = total[k] + (x if coeff is one else coeff * x)
-    return total
+                _fma(acc, coeff.terms, x.terms, zero)
+    empty = LaurentPoly.zero(nv)
+    return [_finished(acc, nv) if acc else empty for acc in cells]
 
 
 def walk_matrix(diagram: Diagram, num_vars: Optional[int] = None) -> RatMatrix:

@@ -345,6 +345,13 @@ class TestSubcommands:
         assert status.pop("stacking multiplicativity") == "FAIL"
         assert set(status.values()) <= {"ok", "skip"} and "ok" in status.values()
 
+    @pytest.mark.parametrize("name", ["twist_s2.sl", "twisted_k1.sl", "twisted_k2.sl"])
+    def test_verify_passes_over_a_non_unit_denominator(self, name, capsys):
+        # gamma = N / d with d != 1: the stacking product is N N over d^2
+        code, out, err = invoke(["verify", str(CORPUS_DIR / name)], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].split()[:3] == ["ok", "stacking", "multiplicativity"]
+
     def test_twist_self_verifies(self, capsys):
         code, out, err = invoke(["twist", HOPF, "--strand", "2"], capsys)
         assert code == 0

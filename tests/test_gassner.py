@@ -1,6 +1,7 @@
 """Colored matrix invariants: golden values, functoriality, unitarity."""
 
 import cmath
+import dataclasses
 import importlib
 
 import pytest
@@ -31,10 +32,10 @@ from stringlinks import (
     stack,
     unitary_spectrum_check,
 )
-from stringlinks.diagram import CrossNeg, CrossPos, MorseWord
-from stringlinks.gassner import _star
+from stringlinks.diagram import CrossNeg, CrossPos, MorseError, MorseWord
+from stringlinks.gassner import _star, squared
 
-from conftest import corpus_words, random_pure_braids, random_twisted_tangles
+from conftest import CORPUS_DIR, corpus_words, load, random_pure_braids, random_twisted_tangles
 
 
 gassner_module = importlib.import_module("stringlinks.gassner")
@@ -140,6 +141,34 @@ class TestStackingOverOneDenominator:
         assert not d.is_one()
         assert normalize_unit(d) == d and normalize_unit(dd) == dd
         assert dd == d * d
+
+
+class TestSquared:
+    # verify's stacking product: gamma^2 as N N over d^2, read off the record
+    def test_squared_is_the_matrix_product(self, tangles_seed4):
+        words = [word for _, word in corpus_words()] + tangles_seed4 + random_pure_braids(5, seed=31)
+        seen_non_unit = 0
+        for word in words:
+            try:
+                g = gassner(word)
+            except MorseError:
+                continue  # a word that permutes colors has no gamma
+            d = one_denominator(g)
+            sq = squared(g)
+            assert sq == g.entries * g.entries
+            assert {x.den for row in sq.entries for x in row} == {d * d}
+            seen_non_unit += not d.is_one()
+        assert seen_non_unit
+
+    def test_entries_over_two_denominators_are_refused(self):
+        g = gassner(load(CORPUS_DIR / "twist_s2.sl"))
+        rows = [row[:] for row in g.entries.entries]
+        q = LaurentPoly.one(g.num_vars) + LaurentPoly.var(g.num_vars, 0)
+        rows[0][0] = RatFunc(rows[0][0].num * q, rows[0][0].den * q)  # same value
+        mixed = dataclasses.replace(g, entries=RatMatrix(g.num_vars, rows))
+        assert mixed.entries == g.entries
+        with pytest.raises(VerificationError, match="share one denominator"):
+            squared(mixed)
 
 
 class TestInvariance:

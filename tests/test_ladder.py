@@ -1,6 +1,7 @@
 """tools/ladder.py: the rung recipe, the verify split and its per-stage cap."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,25 @@ def test_unknown_rung_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         ladder.main(["t9"])
     assert exc.value.code == 2
+
+
+def test_braid_rungs_follow_the_recipe():
+    names = ["n%dc%d" % (n, c) for n in (3, 4, 5) for c in (16, 32, 48)]
+    assert set(names) <= set(ladder.RUNGS)
+    for name in names:
+        word = ladder.rung_word(name)
+        n, c = ladder.RUNGS[name][:2]
+        assert word.n == n and len(word.events) == c, name  # c even: pairs fill it exactly
+        assert {g.pos for g in word.events} <= set(range(1, n))
+    # random.Random(7): the first generator drawn on 3 strands, doubled
+    rng = random.Random(7)
+    first = rng.randrange(1, 3) * rng.choice((1, -1))
+    events = ladder.rung_word("n3c16").events
+    assert events[0] == events[1] and events[0].pos == abs(first)
+    assert type(events[0]).__name__ == ("CrossPos" if first > 0 else "CrossNeg")
+
+
+def test_g_times_g_is_the_product_verify_uses():
+    from stringlinks import cli
+    from stringlinks.gassner import squared
+    assert ladder.squared is squared and cli.squared is squared

@@ -298,3 +298,107 @@ def test_invariant_coefficients_are_never_floats():
                     (name, x, c)
                 checked += 1
     assert checked > 1000
+
+
+def _naive_sum(nv, signed):
+    """sum of +-a*b over (sign, a, b), each product and partial sum its own
+    _RefPoly: the reference for the fused accumulator."""
+    total = _RefPoly(nv, {})
+    for sign, a, b in signed:
+        total = total + a * b if sign > 0 else total - a * b
+    return total
+
+
+def _integral_coefficients_are_ints(p):
+    return all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
+@pytest.mark.parametrize("nv, kind", CASES)
+def test_fused_sum_of_products_matches_the_naive_sum(nv, kind):
+    rng = random.Random(5000 * nv + len(kind))
+    zero = algebra._zero_key(nv)
+    cancelled = 0
+    for _ in range(30):
+        signed = [(rng.choice((1, -1)), _pair(rng, nv, kind), _pair(rng, nv, kind))
+                  for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:  # every product also enters with the other sign
+            signed += [(-s, a, b) for s, a, b in signed]
+        acc = {}
+        for s, (a, _), (b, _) in signed:
+            algebra._fma(acc, a.terms, b.terms, zero, s)
+        fused = algebra._finished(acc, nv)
+        ref = _naive_sum(nv, [(s, ra, rb) for s, (_, ra), (_, rb) in signed])
+        _same(fused, ref)
+        assert _integral_coefficients_are_ints(fused)
+        cancelled += not ref.terms
+        plus = [(a, b) for s, (a, _), (b, _) in signed if s > 0]
+        _same(algebra._dot(plus, nv),
+              _naive_sum(nv, [(1, ra, rb) for s, (_, ra), (_, rb) in signed if s > 0]))
+    assert cancelled
+
+
+@pytest.mark.parametrize("nv", range(1, 6))
+def test_integral_fraction_sums_come_back_as_ints(nv):
+    zeros = (0,) * (nv - 1)
+    half = LaurentPoly(nv, {(1, *zeros): Fraction(1, 2)})
+    third = LaurentPoly(nv, {(-1, *zeros): Fraction(1, 3)})
+    t2 = LaurentPoly.var(nv, 0, 2)
+    # (1/2 t) t^2 + (1/2 t) t^2 + (1/3 t^-1)(3 t^4) = 2 t^3
+    got = algebra._dot([(half, t2), (half, t2), (third, LaurentPoly.var(nv, 0, 4).scale(3))], nv)
+    assert got.terms == {algebra._pack((3, *zeros), nv): 2}
+    assert type(got.terms[algebra._pack((3, *zeros), nv)]) is int
+
+
+@pytest.mark.parametrize("nv", range(1, 6))
+def test_out_of_range_products_that_cancel_still_raise(nv):
+    # Each product leaves the packed field and the two cancel to zero: the
+    # accumulator checks every key it touched, not only the nonzero ones.
+    top = algebra._layout(nv)[1] - 1
+    zeros = (0,) * (nv - 1)
+    zero = algebra._zero_key(nv)
+    one, t = LaurentPoly.one(nv), LaurentPoly.var(nv, 0)
+    edge = LaurentPoly.var(nv, 0, top)
+    low = LaurentPoly.var(nv, 0, -top - 1)
+    pairs = [((edge, t), (-edge, t)), ((low, t.bar()), (low.scale(-1), t.bar()))]
+    if nv > 1:  # each exponent in range, the total degree past it
+        t2 = LaurentPoly.var(nv, 1)
+        pairs.append(((edge, t2), (-edge, t2)))
+    for (a, b), (c, e) in pairs:
+        with pytest.raises(ExponentRangeError):
+            algebra._dot([(a, b), (c, e)], nv)
+        acc = algebra._fma(algebra._fma({}, a.terms, b.terms, zero), a.terms, b.terms, zero, -1)
+        assert acc and not any(acc.values())
+        with pytest.raises(ExponentRangeError):
+            algebra._finished(acc, nv)
+    # at the edge itself the same cancellation is fine
+    assert algebra._dot([(edge, one), (-edge, one)], nv).is_zero()
+    assert algebra._dot([(low, one), (-low, one)], nv).is_zero()
+    assert (edge * one).sorted_terms() == [((top, *zeros), 1)]
+
+
+def _collapse_by_unpacking(p):
+    """collapse_vars as it was: unpack every key, sum its exponents, pack."""
+    out = {}
+    for e, c in p.sorted_terms():
+        out[(sum(e),)] = out.get((sum(e),), 0) + c
+    return LaurentPoly(1, out)
+
+
+@pytest.mark.parametrize("nv", range(0, 6))
+def test_collapse_reads_the_total_degree_field(nv):
+    rng = random.Random(6000 + nv)
+    for kind in ("int", "big", "fraction"):
+        for _ in range(30):
+            p = _pair(rng, nv, kind)[0] if nv else LaurentPoly.const(0, _coefficient(rng, kind))
+            got, want = p.collapse_vars(), _collapse_by_unpacking(p)
+            assert got.num_vars == 1 and got.terms == want.terms
+            assert [type(c) for c in got.terms.values()] == [type(want.terms[k]) for k in got.terms]
+    if nv:
+        top, zeros = algebra._layout(nv)[1] - 1, (0,) * (nv - 1)
+        for exps in ((top, *zeros), (-top - 1, *zeros)):
+            p = LaurentPoly(nv, {exps: Fraction(1, 2)})
+            assert p.collapse_vars() == LaurentPoly(1, {(exps[0],): Fraction(1, 2)})
+    if nv > 1:  # two halves of one total degree collapse to the int 1
+        p = LaurentPoly(nv, {(1, *zeros): Fraction(1, 2), (0, 1, *zeros[1:]): Fraction(1, 2)})
+        ((key, c),) = p.collapse_vars().terms.items()
+        assert key == algebra._pack((1,), 1) and type(c) is int and c == 1

@@ -3,24 +3,28 @@
 
     python3 tools/ladder.py [RUNG ...]
 
-Run from the root of a checkout.  The rungs are the seeded tangle words
-t8, t16, t24 and t32 (default: t8 t16):
+Run from the root of a checkout.  The rungs are seeded words (default:
+t8 t16):
 
-  * the braid part: rng = random.Random(3); draw
-    g = rng.randrange(1, 4) * rng.choice((1, -1)) and append g twice
-    until the word has at least c letters; from_braid_word(4, word);
-  * then add_twist(L, 2 + s % 3) for each s < twists, and
+  * the braid rungs nNcC, N in {3, 4, 5} strands and C in {16, 32, 48}
+    crossings: rng = random.Random(7); draw
+    g = rng.randrange(1, N) * rng.choice((1, -1)) and append g twice
+    until the word has at least C letters; from_braid_word(N, word);
+  * the tangle rungs t8, t16, t24 and t32: the same braid recipe with
+    N = 4, C = 8, 16, 24, 32 and random.Random(3), then
+    add_twist(L, 2 + s % 3) for each s < twists, and
     add_kink(L, 1 + s % 4) for each s < kinks.
 
 For each rung it times, one after another, the stages of verify's
 stacking and walk checks: gassner(L), gassner(LL) of the word stacked on
-itself, the product g*g of L's matrix with itself, the compare of
-gamma(LL) with it, walk_matrix of L's diagram, and the compare of the
-walk matrix with gamma(L).  Each stage runs under a wall-clock cap of
-CAP_S seconds; a stage that hits it is recorded as "cap" with the cap as
-its time, and the stages that need its result are recorded as "not run".
-A compare that finds the two sides unequal is recorded as "FAIL", and the
-exit status is then 1.  The result is printed as a markdown table.
+itself, the product g*g of L's matrix with itself (gassner.squared, as
+verify computes it), the compare of gamma(LL) with it, walk_matrix of
+L's diagram, and the compare of the walk matrix with gamma(L).  Each
+stage runs under a wall-clock cap of CAP_S seconds; a stage that hits it
+is recorded as "cap" with the cap as its time, and the stages that need
+its result are recorded as "not run".  A compare that finds the two
+sides unequal is recorded as "FAIL", and the exit status is then 1.  The
+result is printed as a markdown table.
 """
 
 from __future__ import annotations
@@ -35,10 +39,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stringlinks import add_kink, add_twist, from_braid_word, gassner, stack  # noqa: E402
+from stringlinks.gassner import squared  # noqa: E402
 from stringlinks.walks import walk_matrix  # noqa: E402
 
-# name: (crossings c, twists, kinks)
-RUNGS = {"t8": (8, 1, 2), "t16": (16, 2, 4), "t24": (24, 3, 6), "t32": (32, 4, 8)}
+# name: (strands, crossings c, seed, twists, kinks)
+RUNGS = {"n%dc%d" % (n, c): (n, c, 7, 0, 0) for n in (3, 4, 5) for c in (16, 32, 48)}
+RUNGS.update({"t8": (4, 8, 3, 1, 2), "t16": (4, 16, 3, 2, 4), "t24": (4, 24, 3, 3, 6),
+              "t32": (4, 32, 3, 4, 8)})
 CAP_S = 120.0  # wall-clock cap of each stage
 STAGES = ("gassner(L)", "gassner(LL)", "g*g", "compare", "walk", "walk compare")
 
@@ -48,13 +55,13 @@ class CapHit(BaseException):
 
 
 def rung_word(name: str):
-    c, twists, kinks = RUNGS[name]
-    rng = random.Random(3)
+    n, c, seed, twists, kinks = RUNGS[name]
+    rng = random.Random(seed)
     gens = []
     while len(gens) < c:
-        g = rng.randrange(1, 4) * rng.choice((1, -1))
+        g = rng.randrange(1, n) * rng.choice((1, -1))
         gens += [g, g]
-    word = from_braid_word(4, gens)
+    word = from_braid_word(n, gens)
     for s in range(twists):
         word = add_twist(word, 2 + s % 3)
     for s in range(kinks):
@@ -87,7 +94,7 @@ def run_rung(name: str, cap: float = CAP_S) -> dict:
     steps = {
         "gassner(L)": lambda: gassner(word),
         "gassner(LL)": lambda: gassner(stack(word, word)),
-        "g*g": lambda: values["gassner(L)"].entries * values["gassner(L)"].entries,
+        "g*g": lambda: squared(values["gassner(L)"]),
         "compare": lambda: values["gassner(LL)"].entries == values["g*g"],
         "walk": lambda: walk_matrix(values["gassner(L)"].diagram),
         "walk compare": lambda: values["walk"] == values["gassner(L)"].entries,
