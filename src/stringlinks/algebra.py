@@ -769,20 +769,10 @@ class RatMatrix:
             raise ShapeError(
                 f"matrix product shape mismatch: {self.rows}x{self.cols} * "
                 f"{other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = RatFunc.zero(self.num_vars)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RatMatrix(self.num_vars, out)
+        zero, cols = RatFunc.zero(self.num_vars), list(zip(*other.entries))
+        return RatMatrix(self.num_vars, [
+            [sum((a * b for a, b in zip(row, col) if a.num.terms and b.num.terms), zero) for col in cols]
+            for row in self.entries])
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(self.num_vars,
@@ -809,6 +799,14 @@ class RatMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(x.to_text() for x in row) for row in self.entries)
         return f"RatMatrix[{body}]"
+
+
+def _rat_rows(num_vars: int, entries: list) -> RatMatrix:
+    """The RatMatrix of rows of RatFuncs in num_vars variables, taken as they are."""
+    m = RatMatrix.__new__(RatMatrix)
+    m.num_vars, m.entries, m.rows = num_vars, entries, len(entries)
+    m.cols = len(entries[0]) if entries else 0
+    return m
 
 
 class SparseMatrix:
@@ -1036,7 +1034,7 @@ def solve(M, B) -> RatMatrix:
         # p_j^-1 goes into each factor, not over the finished sum
         start, later = (d * inverse).terms, [((v * inverse).terms, N[c]) for c, v in row.items() if c < n]
         N[j] = [substituted(start, row.get(n + k), later, k) for k in range(m)]
-    return RatMatrix(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
+    return _rat_rows(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
 
 
 def rank(M) -> int:

@@ -171,10 +171,7 @@ class Diagram:
 
     @property
     def top_colors(self) -> Tuple[int, ...]:
-        inv = [0] * self.n
-        for i, j in enumerate(self.perm):
-            inv[j - 1] = i
-        return tuple(self.colors[i] for i in inv)
+        return _top_colors(self.colors, self.perm)
 
     def closure_colors_match(self) -> bool:
         return self.top_colors == self.colors
@@ -206,8 +203,10 @@ def _record(piece, at_head, rec):
 def _sweep(word: MorseWord):
     """Run the Morse sweep.
 
-    Returns (strand_pieces, crossing_signs, perm) where strand_pieces[i]
-    carries the flow-ordered passage records of bottom strand i+1.
+    Returns (strand_pieces, crossing_signs, perm, cap_left_up) where
+    strand_pieces[i] carries the flow-ordered passage records of bottom
+    strand i+1 and cap_left_up maps the index of each cap event to
+    whether its left leg flows upward.
     """
     word.validate()
     n = word.n
@@ -215,6 +214,7 @@ def _sweep(word: MorseWord):
     for i in range(1, n + 1):
         slots.append((_Piece(bottom=i), True))
     crossing_signs = []
+    cap_left_up = {}
 
     for idx, ev in enumerate(word.events):
         k = ev.pos
@@ -253,6 +253,7 @@ def _sweep(word: MorseWord):
                 raise MorseError(
                     "event %d: cap would close an isolated loop" % (idx + 1)
                 )
+            cap_left_up[idx] = hl
             merged = _Piece()
             if hl:
                 # Flow climbs the left leg and descends into the right piece.
@@ -283,7 +284,7 @@ def _sweep(word: MorseWord):
             raise MorseError("top slot %d is not connected to the bottom" % (j + 1))
         perm[piece.bottom - 1] = j + 1
         strand_pieces[piece.bottom - 1] = piece
-    return strand_pieces, crossing_signs, tuple(perm)
+    return strand_pieces, crossing_signs, tuple(perm), cap_left_up
 
 
 def permutation(word: MorseWord) -> Tuple[int, ...]:
@@ -291,8 +292,9 @@ def permutation(word: MorseWord) -> Tuple[int, ...]:
     return _sweep(word)[2]
 
 
-def _build_diagram(word: MorseWord) -> Diagram:
-    strand_pieces, crossing_signs, perm = _sweep(word)
+def _build_diagram(word: MorseWord, swept) -> Diagram:
+    """The Diagram of a word from its `_sweep`."""
+    strand_pieces, crossing_signs, perm, _ = swept
     n = word.n
     c = len(crossing_signs)
     arcs = []
@@ -358,17 +360,23 @@ def _build_diagram(word: MorseWord) -> Diagram:
 
 
 def trace(word: MorseWord) -> Diagram:
-    """Trace a word into a Diagram, normalizing strands that never pass under."""
-    strand_pieces, _, _ = _sweep(word)
-    lazy = [
-        s + 1
+    """Trace a word into a Diagram, normalizing strands that never pass under.
+
+    Kinks keep the permutation, so one sweep places a kink on every such
+    strand; only a word that needs one is swept again.
+    """
+    swept = _sweep(word)
+    strand_pieces, _, perm, _ = swept
+    kinks = tuple(
+        ev
         for s in range(word.n)
         if not any(kind == "u" for kind, _ in strand_pieces[s].records)
-    ]
-    normalized = word
-    for s in lazy:
-        normalized = add_kink(normalized, s)
-    return _build_diagram(normalized)
+        for ev in _kink(perm[s])
+    )
+    if kinks:
+        word = MorseWord(word.n, word.colors, word.events + kinks)
+        swept = _sweep(word)
+    return _build_diagram(word, swept)
 
 
 def stack(lower: MorseWord, upper: MorseWord) -> MorseWord:
@@ -377,10 +385,7 @@ def stack(lower: MorseWord, upper: MorseWord) -> MorseWord:
         raise MorseError(
             "cannot stack words with %d and %d strands" % (lower.n, upper.n)
         )
-    inv = [0] * lower.n
-    for i, j in enumerate(permutation(lower)):
-        inv[j - 1] = i
-    top_colors = tuple(lower.colors[i] for i in inv)
+    top_colors = _top_colors(lower.colors, permutation(lower))
     if top_colors != upper.colors:
         raise MorseError(
             "color mismatch at the stacking interface: %r vs %r"
@@ -398,27 +403,7 @@ def invert(word: MorseWord) -> MorseWord:
     whose orientation at the minimum matches the reversed flow: a cap
     whose left leg flowed upward reflects to CupL, the other to CupR.
     """
-    word.validate()
-    # Direction-only sweep of the original word to classify each cap.
-    dirs = [True] * word.n  # True = upward
-    cap_left_up = {}
-    for idx, ev in enumerate(word.events):
-        k = ev.pos
-        if is_crossing(ev):
-            dirs[k - 1], dirs[k] = dirs[k], dirs[k - 1]
-        elif isinstance(ev, CupL):
-            dirs[k - 1:k - 1] = [True, False]
-        elif isinstance(ev, CupR):
-            dirs[k - 1:k - 1] = [False, True]
-        else:
-            if dirs[k - 1] == dirs[k]:
-                raise MorseError(
-                    "event %d: cap joins strands with aligned orientations"
-                    % (idx + 1)
-                )
-            cap_left_up[idx] = dirs[k - 1]
-            del dirs[k - 1:k + 1]
-
+    _pieces, _signs, perm, cap_left_up = _sweep(word)
     flipped = []
     for idx in range(len(word.events) - 1, -1, -1):
         ev = word.events[idx]
@@ -431,11 +416,15 @@ def invert(word: MorseWord) -> MorseWord:
         else:
             flipped.append(CupL(ev.pos) if cap_left_up[idx] else CupR(ev.pos))
 
-    inv = [0] * word.n
-    for i, j in enumerate(permutation(word)):
-        inv[j - 1] = i
-    new_colors = tuple(word.colors[i] for i in inv)
-    return MorseWord(word.n, new_colors, tuple(flipped))
+    return MorseWord(word.n, _top_colors(word.colors, perm), tuple(flipped))
+
+
+def _top_colors(colors, perm) -> Tuple[int, ...]:
+    """The colors of the top slots, for bottom colors and permutation perm."""
+    top = [0] * len(perm)
+    for color, j in zip(colors, perm):
+        top[j - 1] = color
+    return tuple(top)
 
 
 def add_kink(word: MorseWord, strand: int) -> MorseWord:
@@ -446,9 +435,12 @@ def add_kink(word: MorseWord, strand: int) -> MorseWord:
     """
     if not 1 <= strand <= word.n:
         raise MorseError("strand %d out of range" % strand)
-    p = permutation(word)[strand - 1]
-    gadget = (CupL(p + 1), CrossPos(p), Cap(p + 1))
-    return MorseWord(word.n, word.colors, word.events + gadget)
+    return MorseWord(word.n, word.colors, word.events + _kink(permutation(word)[strand - 1]))
+
+
+def _kink(p: int) -> Tuple[MorseEvent, ...]:
+    """The events of a positive curl on the strand that ends in top slot p."""
+    return (CupL(p + 1), CrossPos(p), Cap(p + 1))
 
 
 def add_twist(word: MorseWord, strand: int = 1) -> MorseWord:

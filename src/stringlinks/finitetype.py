@@ -8,7 +8,9 @@ closed form, in integers, by binomial rows and a one-pass quotient.
 Flipping a set of k crossings in all 2^k ways and summing with
 alternating signs kills every coefficient of total degree below k; the
 coefficient functionals are finite-type invariants of order bounded by
-their degree.
+their degree.  The sum is taken before the expansion: the 2^k solved
+matrices are added over each distinct denominator, and each entry of
+each sum is expanded once.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import TruncatedSeries, VerificationError, series_var_names, taylor_expand
+from .algebra import RatFunc, TruncatedSeries, VerificationError, series_var_names, taylor_expand
+from .algebra import _finished
 from .diagram import CrossNeg, CrossPos, MorseWord, is_crossing
-from .gassner import gassner
+from .gassner import gassner, numerators
 
 
 @dataclass(frozen=True)
@@ -89,11 +92,12 @@ class SeriesMatrix:
 def taylor_gassner(L: MorseWord, N: int) -> SeriesMatrix:
     """Entrywise Taylor expansion of gamma(L) to total degree N."""
     g = gassner(L)
-    rows = tuple(
-        tuple(taylor_expand(g.entries[i, j], N) for j in range(g.n))
-        for i in range(g.n)
-    )
-    return SeriesMatrix(g.n, g.num_vars, N, rows)
+    return _expanded(g.entries.entries, g.num_vars, N)
+
+
+def _expanded(rows, num_vars: int, N: int) -> SeriesMatrix:
+    return SeriesMatrix(len(rows), num_vars, N,
+                        tuple(tuple(taylor_expand(x, N) for x in row) for row in rows))
 
 
 def _with_signs(
@@ -127,6 +131,12 @@ def alternating_sum(
     """Sum of gamma expansions over all sign assignments of the chosen
     crossings, weighted by the parity of positive choices.
 
+    Each variant is traced and solved on its own; its signed numerators
+    are added into one sum per distinct denominator d of the solves, and
+    each entry of each sum is expanded once.  Truncated expansion is
+    linear and exact, so the few series that result add up to the sum of
+    the variants' expansions; denominators are never cross-multiplied.
+
     Every coefficient of total degree below the number of flipped
     crossings cancels; the result certifies that order bound.
     """
@@ -134,15 +144,19 @@ def alternating_sum(
     problem = flip_problem(L, indices)
     if problem is not None:
         raise VerificationError(problem)
-    k = len(indices)
+    sums = {}  # d -> packed term sums of the numerators over d
+    for signs in product((1, -1), repeat=len(indices)):
+        g = gassner(_with_signs(L, indices, signs))
+        num, d = numerators(g.entries.entries)
+        sign = -1 if signs.count(1) % 2 else 1
+        acc_rows = sums.setdefault(d, [[{} for _ in row] for row in num])
+        for acc_row, row in zip(acc_rows, num):
+            for acc, p in zip(acc_row, row):
+                for k, c in p.terms.items():
+                    acc[k] = acc.get(k, 0) + sign * c
+    nv = g.num_vars
     total = None
-    for signs in product((1, -1), repeat=k):
-        term = taylor_gassner(_with_signs(L, indices, signs), N)
-        positives = sum(1 for s in signs if s > 0)
-        if positives % 2:
-            term = SeriesMatrix(
-                term.n, term.num_vars, term.bound,
-                tuple(tuple(-s for s in row) for row in term.entries),
-            )
+    for d, acc_rows in sums.items():
+        term = _expanded([[RatFunc(_finished(acc, nv), d) for acc in row] for row in acc_rows], nv, N)
         total = term if total is None else total + term
     return total

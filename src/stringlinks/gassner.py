@@ -48,7 +48,7 @@ from .algebra import (
     parse_ratfunc,
     solve,
 )
-from .algebra import _dot
+from .algebra import _dot, _rat_rows
 from .diagram import Diagram, MorseError, MorseWord, from_braid_word, trace
 from .wirtinger import FoxMatrix, fox_matrix, presentation
 
@@ -105,7 +105,7 @@ def solve_fox_system(fox: FoxMatrix) -> Tuple[RatMatrix, RatMatrix]:
     minus_C = SparseMatrix(nv, n, [{j - c: -p for j, p in row.items() if j >= c}
                                    for row in fox.rows])
     X = solve(fox.ab(), minus_C).entries
-    return RatMatrix(nv, X[:n]), RatMatrix(nv, X[n:])
+    return _rat_rows(nv, X[:n]), _rat_rows(nv, X[n:])
 
 
 def numerators(rows) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
@@ -195,13 +195,9 @@ def reduce(g, colors=None) -> ReducedMatrix:
         return ReducedMatrix(n, nv, RatMatrix(nv, []), cols)
     one = LaurentPoly.one(nv)
     w_first = one - LaurentPoly.var(nv, cols[0] - 1)
-    out = []
-    for k in range(1, n):
-        w_k = one - LaurentPoly.var(nv, cols[k] - 1)
-        ratio = RatFunc(w_k, w_first)
-        out.append(
-            [matrix[k, j] - matrix[0, j] * ratio for j in range(1, n)]
-        )
+    ratios = [RatFunc(one - LaurentPoly.var(nv, c - 1), w_first) for c in cols[1:]]
+    out = [[matrix[k, j] - matrix[0, j] * ratio for j in range(1, n)]
+           for k, ratio in enumerate(ratios, 1)]
     return ReducedMatrix(n, nv, RatMatrix(nv, out), cols)
 
 
@@ -229,8 +225,7 @@ def full_twist(n: int) -> GassnerMatrix:
 
 def full_twist_braid_word(n: int) -> MorseWord:
     """The braid word (s_1 ... s_{n-1})^n realizing one full positive twist."""
-    gens = [i for _ in range(n) for i in range(1, n)]
-    return from_braid_word(n, gens)
+    return from_braid_word(n, [i for _ in range(n) for i in range(1, n)])
 
 
 def weight_column(num_vars: int, colors: Sequence[int]) -> RatMatrix:
@@ -239,10 +234,7 @@ def weight_column(num_vars: int, colors: Sequence[int]) -> RatMatrix:
     Every pure string-link matrix fixes this vector: gamma w = w.
     """
     one = LaurentPoly.one(num_vars)
-    return RatMatrix(
-        num_vars,
-        [[one - LaurentPoly.var(num_vars, c - 1)] for c in colors],
-    )
+    return RatMatrix(num_vars, [[one - LaurentPoly.var(num_vars, c - 1)] for c in colors])
 
 
 def weight_row(num_vars: int, colors: Sequence[int]) -> RatMatrix:
@@ -290,11 +282,8 @@ def numeric_eval(g, angles: Sequence[float]):
             "expected %d angles, got %d" % (nv, len(angles))
         )
     point = [cmath.exp(2j * cmath.pi * a) for a in angles]
-    out = numpy.zeros((matrix.rows, matrix.cols), dtype=complex)
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            out[i, j] = matrix[i, j].eval_complex(point)
-    return out
+    return numpy.array([[x.eval_complex(point) for x in row] for row in matrix.entries],
+                       dtype=complex).reshape(matrix.rows, matrix.cols)
 
 
 def _lift_poly(p: LaurentPoly) -> LaurentPoly:
@@ -359,11 +348,7 @@ def unitary_spectrum_check(
 
 def _star(matrix: RatMatrix) -> RatMatrix:
     """Conjugate transpose under the bar involution t_i -> t_i^{-1}."""
-    return RatMatrix(
-        matrix.num_vars,
-        [[matrix[j, i].bar() for j in range(matrix.rows)]
-         for i in range(matrix.cols)],
-    )
+    return RatMatrix(matrix.num_vars, [[x.bar() for x in col] for col in zip(*matrix.entries)])
 
 
 def _kron(P: RatMatrix, Q: RatMatrix) -> RatMatrix:
@@ -419,10 +404,7 @@ def matrix_to_json(g, var_names: Optional[Sequence[str]] = None) -> dict:
     """Serialize a matrix as {"n", "vars", "entries"} with canonical text."""
     matrix, nv = _entries_of(g)
     names = list(var_names) if var_names else default_var_names(nv)
-    entries = [
-        [matrix[i, j].reduced().to_text(names) for j in range(matrix.cols)]
-        for i in range(matrix.rows)
-    ]
+    entries = [[x.reduced().to_text(names) for x in row] for row in matrix.entries]
     return {"n": matrix.rows, "vars": names, "entries": entries}
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .algebra import LaurentPoly, SparseMatrix, VerificationError
+from .algebra import LaurentPoly, SparseMatrix, VerificationError, _finished, _layout, _zero_key
 from .diagram import Diagram
 
 
@@ -118,31 +118,35 @@ def presentation(diagram: Diagram) -> WirtingerPresentation:
 
 
 def fox_matrix(pres: WirtingerPresentation) -> FoxMatrix:
-    """Differentiate every relator into one sparse row of (A B C)."""
+    """Differentiate every relator into one sparse row of (A B C).
+
+    A relator's abelianized prefix runs as one packed exponent key: a
+    generator of color v moves t_v's field and the total-degree field.
+    """
     nv = pres.num_vars
     gens = pres.generators
+    field = _layout(nv)[0]
+    step = [(1 << field * nv) + (1 << field * (nv - g.color)) for g in gens]
     rows = []
     for rel in pres.relators:
         cells: Dict[int, dict] = {}
-        prefix = [0] * nv  # exponent vector of the running abelianized prefix
+        prefix = _zero_key(nv)
         for g, e in rel:
-            v = gens[g].color - 1
             if e == -1:
-                prefix[v] -= 1
+                prefix -= step[g]
             elif e != 1:
                 raise VerificationError("relator exponents must be +1 or -1")
             cell = cells.setdefault(g, {})
-            exps = tuple(prefix)
-            cell[exps] = cell.get(exps, 0) + e
+            cell[prefix] = cell.get(prefix, 0) + e
             if e == 1:
-                prefix[v] += 1
-        rows.append({g: LaurentPoly(nv, cell) for g, cell in cells.items()})
+                prefix += step[g]
+        rows.append({g: p for g in sorted(cells) if (p := _finished(cells[g], nv)).terms})
 
     return FoxMatrix(
         n=pres.n,
         c=pres.c,
         num_vars=nv,
-        rows=tuple(SparseMatrix(nv, len(gens), rows).cells),
+        rows=tuple(rows),
         column_colors=tuple(g.color for g in gens),
         bottom_colors=pres.bottom_colors,
         top_colors=pres.top_colors,

@@ -158,3 +158,39 @@ def test_crossing_positions_validated():
     bad = type(word)(word.n, word.colors, (CrossPos(5),))
     with pytest.raises(MorseError):
         trace(bad)
+
+
+class TestOneSweep:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        from stringlinks import diagram
+
+        calls = []
+        original = diagram._sweep
+
+        def spy(word):
+            calls.append(word)
+            return original(word)
+
+        monkeypatch.setattr(diagram, "_sweep", spy)
+        return calls
+
+    def test_no_lazy_strand_is_swept_once(self, sweeps):
+        trace(from_braid_word(2, [1, 1]))
+        assert len(sweeps) == 1
+
+    @pytest.mark.parametrize("word", [from_braid_word(3, [1, 2, 1]), from_braid_word(2, [])],
+                             ids=["one lazy strand", "two lazy strands"])
+    def test_kinks_need_one_more_sweep(self, word, sweeps):
+        trace(word)
+        assert len(sweeps) == 2
+        assert len(sweeps[1].events) > len(word.events)
+
+    def test_kinks_go_where_add_kink_puts_them(self):
+        # every lazy strand gets add_kink's curl, in strand order
+        for word, lazy in [(from_braid_word(3, [1, 2, 1]), [1]), (from_braid_word(2, []), [1, 2]),
+                           (from_braid_word(3, [1]), [1, 3])]:
+            kinked = word
+            for s in lazy:
+                kinked = add_kink(kinked, s)
+            assert trace(word) == trace(kinked)

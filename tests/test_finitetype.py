@@ -1,19 +1,25 @@
 """Truncated Taylor expansions and finite-type vanishing."""
 
-from fractions import Fraction
+import random
+from itertools import combinations, product
 
 import pytest
 
 from stringlinks import (
+    MorseWord,
+    SeriesMatrix,
     VerificationError,
     add_kink,
     alternating_sum,
+    finitetype,
     from_braid_word,
     stack,
     taylor_gassner,
 )
+from stringlinks.diagram import CrossNeg, CrossPos, is_crossing
+from stringlinks.gassner import numerators
 
-from conftest import pure_corpus_words, random_pure_braids
+from conftest import CORPUS_DIR, load, pure_corpus_words, random_pure_braids, random_twisted_tangles
 
 
 def hopf():
@@ -110,3 +116,94 @@ class TestAlternatingSums:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(VerificationError):
             alternating_sum(hopf(), [9], 3)
+
+
+def reference_alternating_sum(L, indices, N):
+    """Expand each of the 2^k variants, negate by the parity of its
+    positive choices, and add the 2^k series."""
+    total = None
+    for signs in product((1, -1), repeat=len(indices)):
+        events = list(L.events)
+        for idx, sign in zip(indices, signs):
+            events[idx - 1] = (CrossPos if sign > 0 else CrossNeg)(events[idx - 1].pos)
+        term = taylor_gassner(MorseWord(L.n, L.colors, tuple(events)), N)
+        if signs.count(1) % 2:
+            term = SeriesMatrix(term.n, term.num_vars, term.bound,
+                                tuple(tuple(-x for x in row) for row in term.entries))
+        total = term if total is None else total + term
+    return total
+
+
+def crossings(word):
+    return [i + 1 for i, ev in enumerate(word.events) if is_crossing(ev)]
+
+
+def seeded_flips(word, rng, sizes):
+    xs = crossings(word)
+    return [sorted(rng.sample(xs, k)) for k in sizes if k <= len(xs)]
+
+
+class TestSumThenExpand:
+    """alternating_sum adds the solved matrices over each denominator and
+    expands once; it must equal the expand-then-sum loop it replaced."""
+
+    @staticmethod
+    def check(word, flips, label):
+        N = len(flips) + 1
+        got, want = alternating_sum(word, flips, N), reference_alternating_sum(word, flips, N)
+        assert got == want, (label, flips)
+        assert got.min_total_degree() == want.min_total_degree(), (label, flips)
+        assert got.to_json() == want.to_json(), (label, flips)
+
+    def test_pure_corpus_words(self):
+        rng = random.Random(3)
+        for name, word in pure_corpus_words():
+            for flips in seeded_flips(word, rng, (1, 2, 3)):
+                self.check(word, flips, name)
+
+    def test_random_pure_braids(self):
+        rng = random.Random(17)
+        for i, word in enumerate(random_pure_braids(8, seed=29)):
+            for flips in seeded_flips(word, rng, (1, 2, 3)):
+                self.check(word, flips, "braid %d" % i)
+
+    def test_twisted_tangles(self):
+        rng = random.Random(19)
+        for i, word in enumerate(random_twisted_tangles(5, seed=31)):
+            for flips in seeded_flips(word, rng, (1, 2)):
+                self.check(word, flips, "tangle %d" % i)
+
+    @pytest.mark.parametrize("name", ["twist_s2.sl", "twisted_k1.sl", "twisted_k2.sl"])
+    def test_variants_over_different_denominators(self, name, monkeypatch):
+        # every 1- and 2-flip set whose variants' solves do not share one
+        # denominator; each entry is expanded once per distinct denominator
+        word = load(CORPUS_DIR / name)
+        expansions, dens = [], []
+        expand, solved = finitetype.taylor_expand, finitetype.gassner
+
+        def counted_expand(r, bound):
+            expansions.append(r)
+            return expand(r, bound)
+
+        def recorded_gassner(w):
+            g = solved(w)
+            dens.append(numerators(g.entries.entries)[1])
+            return g
+
+        monkeypatch.setattr(finitetype, "taylor_expand", counted_expand)
+        monkeypatch.setattr(finitetype, "gassner", recorded_gassner)
+        checked = 0
+        for k in (1, 2):
+            for flips in map(list, combinations(crossings(word), k)):
+                want = reference_alternating_sum(word, flips, k + 1)
+                del expansions[:], dens[:]
+                got = alternating_sum(word, flips, k + 1)
+                distinct = set(dens)
+                if len(distinct) == 1:
+                    continue
+                checked += 1
+                assert len(dens) == 2 ** k
+                assert len(expansions) == word.n ** 2 * len(distinct)
+                assert got == want and got.to_json() == want.to_json(), flips
+                assert got.min_total_degree() == want.min_total_degree(), flips
+        assert checked >= 5

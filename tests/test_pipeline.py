@@ -34,8 +34,9 @@ COUNTED = {
 # altsum over one flip two.  alexander --braid-b reads report's record and
 # closure polynomial for L and folds V only for the combined word L B; it
 # traces only L B and the braid B (for burau).  The walk oracle labels all
-# n columns in one pass.  Every test word has n = 2, so each record
-# expands n^2 = 4 entries.
+# n columns in one pass.  Every test word has n = 2, so taylor expands
+# n^2 = 4 entries; altsum expands n^2 entries per distinct denominator of
+# its variants' solves, and both variants of each test word have d = 1.
 TARGETS = {
     ("report",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
                   "factorization_identity": 1, "closure_matrix": 1, "taylor_expand": 0,
@@ -48,7 +49,7 @@ TARGETS = {
                   "rank": 0, "solve_labeling": 0},
     ("altsum", "--flips", "1"): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
                                  "factorization_identity": 0, "closure_matrix": 0,
-                                 "taylor_expand": 8, "rank": 0, "solve_labeling": 0},
+                                 "taylor_expand": 4, "rank": 0, "solve_labeling": 0},
     ("alexander", "--braid-b", "s1"): {"trace": 3, "fox_matrix": 3, "solve_fox_system": 2,
                                        "burau": 1, "factorization_identity": 1,
                                        "closure_matrix": 2, "taylor_expand": 0, "rank": 0,
