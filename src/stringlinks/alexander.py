@@ -15,11 +15,14 @@ is checked exactly over the rational function field.
 full_report traces the word, builds (A B C) and solves it once; the
 resulting GassnerMatrix record carries the word, the diagram, the Fox
 rows and the solution.  knot_closure_relation reads the report, so V of
-the word is folded once.  The one-variable link polynomial comes from
-collapsing the colored gamma (t_i -> t), which is exact because det(A B)
-augments to +-1, so no denominator collapses to zero.  Delta_closure is
-still taken from V's own minors, never as tau * Delta_L, so the
-factorization check compares two separately computed sides.
+the word is folded once.  The solve gives gamma = N / d over one
+denominator d, so the link minors are those of the Laurent matrix
+d I - N over d^(n-1).  The one-variable polynomials collapse the cells
+of V and of d I - N (t_i -> t) and take a (1,1) minor; that is exact
+because det(A B) augments to +-1, so d does not collapse to zero.
+Delta_closure is still taken from V's own minors, never as
+tau * Delta_L, so the factorization check compares two separately
+computed sides.
 """
 
 from __future__ import annotations
@@ -241,27 +244,33 @@ def alexander_poly_closure(
     return base
 
 
-def alexander_function(g: GassnerMatrix) -> RatFunc:
-    """(-1)^{i+j} (t_1...t_i) det((I - gamma)(i,j)) / (1 - t_j).
+def _link_matrix(g: GassnerMatrix) -> Tuple[SparseMatrix, LaurentPoly]:
+    """(d I - N, d): I - gamma scaled by the one denominator d of the
+    record's solve, whose (n-1)-minors are d^(n-1) times those of I - gamma."""
+    N, d = numerators(g.entries.entries)
+    return SparseMatrix(g.num_vars, g.n, [{j: d - x if i == j else -x for j, x in enumerate(row)}
+                                          for i, row in enumerate(N)]), d
 
-    Exactly independent of the pair (i, j); computed at (1,1) and
-    cross-checked at a second pair.
+
+def alexander_function(g: GassnerMatrix) -> RatFunc:
+    """(-1)^{i+j} (t_1...t_i) det((d I - N)(i,j)) / (d^(n-1) (1 - t_j)).
+
+    That is the same minor of I - gamma, gamma = N / d.  Exactly
+    independent of the pair (i, j); computed at (1,1) and cross-checked
+    at a second pair.
     """
     n, nv = g.n, g.num_vars
     if n < 2:
         raise VerificationError("link Alexander function needs n >= 2")
-    I = RatMatrix.identity(nv, n)
-    M = I - g.entries
+    M, d = _link_matrix(g)
+    den = d ** (n - 1)
 
     def value(i: int, j: int) -> RatFunc:
-        prefix = LaurentPoly.one(nv)
+        prefix = LaurentPoly.const(nv, (-1) ** (i + j))
         for m in range(i + 1):
             prefix = prefix * LaurentPoly.var(nv, g.colors[m] - 1)
-        w = RatFunc(
-            LaurentPoly.one(nv) - LaurentPoly.var(nv, g.colors[j] - 1)
-        )
-        sign = LaurentPoly.const(nv, (-1) ** (i + j))
-        return RatFunc(sign * prefix) * det(M.minor_matrix(i, j)) * w.inverse()
+        w = LaurentPoly.one(nv) - LaurentPoly.var(nv, g.colors[j] - 1)
+        return RatFunc(prefix * det(M.minor(i, j)).num, den * w)
 
     result = value(0, 0)
     if value(1, 0) != result:
@@ -277,28 +286,11 @@ def torsion(F: FoxMatrix) -> LaurentPoly:
     return normalize_unit(tau)
 
 
-def _collapsed(M: RatMatrix) -> RatMatrix:
-    """M with every variable collapsed to t.
-
-    On gamma this is the Burau matrix: the specialization never hits a
-    pole, because det(A B) augments to +-1.
-    """
-    return RatMatrix(1, [[x.collapse_vars() for x in row] for row in M.entries])
-
-
-def _one_var_closure(V: ClosureMatrix) -> LaurentPoly:
-    """det of the (1,1) minor of V with every variable collapsed to t."""
-    collapsed = SparseMatrix(1, V.c, [{j: x.collapse_vars() for j, x in row.items()}
-                                      for row in V.V.cells])
-    return normalize_unit(det(collapsed.minor(0, 0)).num)
-
-
-def _one_var_link(g: GassnerMatrix) -> RatFunc:
-    """t * det((I - burau)(1,1)) in the single variable t."""
-    b = _collapsed(g.entries)
-    I = RatMatrix.identity(1, b.rows)
-    minor = det((I - b).minor_matrix(0, 0))
-    return RatFunc(LaurentPoly.var(1, 0)) * minor
+def _one_var_minor(M: SparseMatrix) -> LaurentPoly:
+    """det of the (1,1) minor of M with every variable collapsed to t."""
+    collapsed = SparseMatrix(1, M.cols, [{j: x.collapse_vars() for j, x in row.items()}
+                                         for row in M.cells])
+    return det(collapsed.minor(0, 0)).num
 
 
 def _closure_components(perm: Sequence[int]) -> int:
@@ -351,8 +343,10 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
             )
 
     tau_one = normalize_unit(tau.collapse_vars())
-    delta_closure_one = _one_var_closure(V)
-    delta_link_one = _one_var_link(g)
+    delta_closure_one = normalize_unit(_one_var_minor(V.V))
+    M, d = _link_matrix(g)  # t det((I - burau)(1,1)), burau = gamma at t_i -> t
+    delta_link_one = RatFunc(LaurentPoly.var(1, 0) * _one_var_minor(M),
+                             d.collapse_vars() ** (g.n - 1))
     one_ok = equal_up_to_units(
         RatFunc(delta_closure_one), RatFunc(tau_one) * delta_link_one
     )
@@ -409,12 +403,14 @@ def knot_closure_relation(
 
     braid = from_braid_word(n, B) if B else MorseWord(n, L.colors, ())
     if lhs is None:
-        lhs = _one_var_closure(closure_matrix(g.fox))
+        lhs = normalize_unit(_one_var_minor(closure_matrix(g.fox).V))
 
     combined = MorseWord(n, braid.colors, tuple(L.events) + tuple(braid.events))
-    rhs_closure = _one_var_closure(closure_matrix(fox_of_word(combined)))
+    rhs_closure = normalize_unit(_one_var_minor(closure_matrix(fox_of_word(combined)).V))
 
-    rbL = reduce(_collapsed(g.entries)).entries
+    # gamma at t_i -> t, the Burau matrix: no pole, since det(A B) augments to +-1
+    collapsed = RatMatrix(1, [[x.collapse_vars() for x in row] for row in g.entries.entries])
+    rbL = reduce(collapsed).entries
     rbB = reduce(burau(braid)).entries
     I = RatMatrix.identity(1, n - 1)
     corr_num = det(I - rbL)
@@ -431,6 +427,5 @@ def ideal_rank_check(V: ClosureMatrix, g: GassnerMatrix, k: int) -> bool:
     if k > V.n:
         raise VerificationError("k exceeds the strand count")
     ideal_vanishes = rank(V.V) < V.c - k
-    I = RatMatrix.identity(g.num_vars, g.n)
-    multiplicity = g.n - rank(I - g.entries)
+    multiplicity = g.n - rank(_link_matrix(g)[0])  # row scaling by d keeps the rank
     return ideal_vanishes == (multiplicity >= k + 1)

@@ -333,8 +333,8 @@ class LaurentPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            base = base * base if k else base  # no square past the last bit
         return result
 
     def shift(self, exps: Sequence[int]) -> "LaurentPoly":

@@ -28,12 +28,21 @@ from stringlinks import (
     normalize_unit,
     parse_poly,
     parse_ratfunc,
+    rank,
     reduce,
     torsion,
 )
+from stringlinks import alexander, algebra
 from stringlinks.algebra import VerificationError
 
-from conftest import CORPUS_DIR, braid_corpus_words, corpus_words, load, pure_corpus_words
+from conftest import (
+    CORPUS_DIR,
+    braid_corpus_words,
+    corpus_words,
+    load,
+    pure_corpus_words,
+    random_twisted_tangles,
+)
 
 
 def hopf():
@@ -265,3 +274,113 @@ class TestIdealRank:
         V = closure_matrix(fox_of_word(word))
         with pytest.raises(Exception):
             ideal_rank_check(V, gassner(word), 5)
+
+
+def _reference_link_minor(g, i, j):
+    """det((I - gamma)(i,j)) by the dense path: I - gamma as a RatMatrix,
+    entry by entry, whose det clears each row of its denominators."""
+    return det((RatMatrix.identity(g.num_vars, g.n) - g.entries).minor_matrix(i, j))
+
+
+def _reference_alexander_function(g):
+    """(t_1) det((I - gamma)(1,1)) / (1 - t_1) in RatFunc arithmetic."""
+    nv = g.num_vars
+    t1 = LaurentPoly.var(nv, g.colors[0] - 1)
+    w = RatFunc(LaurentPoly.one(nv) - t1)
+    return RatFunc(t1) * _reference_link_minor(g, 0, 0) * w.inverse()
+
+
+def _reference_one_var_link(g):
+    """t det((I - burau)(1,1)), burau = gamma with every variable collapsed."""
+    b = RatMatrix(1, [[x.collapse_vars() for x in row] for row in g.entries.entries])
+    minor = det((RatMatrix.identity(1, g.n) - b).minor_matrix(0, 0))
+    return RatFunc(LaurentPoly.var(1, 0)) * minor
+
+
+def _same_fraction(got, want):
+    """got = want term for term, numerator and denominator; a zero only in value."""
+    if want.num.is_zero():
+        return got.num.is_zero()
+    return got.num == want.num and got.den == want.den
+
+
+@pytest.fixture(scope="module")
+def all_reports():
+    """full_report of the corpus and of random_twisted_tangles(10, seed=4)."""
+    words = [w for _, w in corpus_words()] + random_twisted_tangles(10, seed=4)
+    return [full_report(w) for w in words]
+
+
+class TestLinkMinorsOverOneDenominator:
+    """The link minors are those of the Laurent matrix d I - N over d^(n-1);
+    they give the fractions the dense RatMatrix path gives."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, all_reports):
+        reports = [r for r in all_reports if r.n >= 2]
+        # non-unit denominators: twist_s2, twisted_k1, twisted_k2 and drawn tangles
+        assert sum(not alexander._link_matrix(r.record)[1].is_one() for r in reports) >= 4
+        return reports
+
+    def test_every_minor_matches_the_dense_path(self, reports):
+        for r in reports:
+            g = r.record
+            M, d = alexander._link_matrix(g)
+            for i in range(g.n):
+                for j in range(g.n):
+                    got = RatFunc(det(M.minor(i, j)).num, d ** (g.n - 1))
+                    assert _same_fraction(got, _reference_link_minor(g, i, j)), (g.word, i, j)
+
+    def test_link_polynomials_match_the_dense_path(self, reports):
+        multi = 0
+        for r in reports:
+            g = r.record
+            assert _same_fraction(r.delta_link_one, _reference_one_var_link(g)), g.word
+            if r.delta_link is not None:
+                multi += 1
+                want = _reference_alexander_function(g)
+                assert _same_fraction(r.delta_link, want), g.word
+                assert r.delta_link.reduced().to_text() == want.reduced().to_text()
+        assert multi >= 10
+
+    def test_ideal_rank_matches_the_dense_path(self, reports):
+        for r in reports:
+            g = r.record
+            V = closure_matrix(g.fox)
+            multiplicity = g.n - rank(RatMatrix.identity(g.num_vars, g.n) - g.entries)
+            for k in range(g.n + 1):
+                want = (rank(V.V) < V.c - k) == (multiplicity >= k + 1)
+                assert ideal_rank_check(V, g, k) == want, (g.word, k)
+
+    def test_no_dense_matrix_on_these_paths(self, reports, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("dense matrix on the link-minor path")
+
+        monkeypatch.setattr(algebra, "_cleared_rows", refuse)
+        monkeypatch.setattr(RatMatrix, "__init__", refuse)
+        for r in reports:
+            g = r.record
+            if r.delta_link is not None:
+                alexander_function(g)
+            M, _d = alexander._link_matrix(g)
+            alexander._one_var_minor(M)
+            for k in range(g.n + 1):
+                ideal_rank_check(closure_matrix(g.fox), g, k)
+
+
+class TestTorsionAndDetGamma:
+    """det(gamma) tau = unit * bar(tau): the torsion reading of det(gamma)."""
+
+    def test_det_gamma_times_tau_is_bar_tau(self, all_reports):
+        non_unit = 0
+        for r in all_reports:
+            g = r.record
+            tau = RatFunc(torsion(g.fox))
+            det_gamma = det(g.entries)
+            assert equal_up_to_units(det_gamma * tau, tau.bar()), g.word
+            # negative control: the wrong form det(gamma) = u tau / bar(tau)
+            # fails exactly where tau is not a unit
+            wrong = equal_up_to_units(det_gamma * tau.bar(), tau)
+            assert wrong == tau.num.is_monomial(), g.word
+            non_unit += not tau.num.is_monomial()
+        assert len(all_reports) == 36 and non_unit == 6

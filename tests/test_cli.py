@@ -7,12 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stringlinks
-from stringlinks import cli, gassner, matrix_from_json, parse_morse
+from stringlinks import MorseWord, cli, gassner, matrix_from_json, parse_morse, to_dsl
 from stringlinks.algebra import SingularMatrixError
 from stringlinks.cli import run
-from stringlinks.diagram import MAX_STRANDS, is_crossing
+from stringlinks.diagram import MAX_STRANDS, Cap, CrossNeg, CrossPos, CupL, CupR, is_crossing
 
 from conftest import CORPUS_DIR
 
@@ -242,6 +243,108 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+# DSL vocabulary for token streams: small numbers, and values past the
+# strand limit that the parser must refuse before any stage runs
+TOKENS = ("sl", "colors", "x", "cap", "cup", "end", "braid", "braid 2:", "braid 3:", "+", "-",
+          "<", ">", "#", ":", "s1", "s2'", "s3", "0", "1", "2", "3", "4", "-1", "1.5",
+          str(MAX_STRANDS + 1), "100000000000000000000", "\u00e9")
+
+
+@st.composite
+def small_words(draw):
+    """A word of at most 4 strands and 8 events, with free colors, crossings,
+    cups and caps; every cup is closed by a cap, so the DSL parses."""
+    n = draw(st.integers(1, 4))
+    colors = draw(st.one_of(st.just(tuple(range(1, n + 1))),
+                            st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    events, live, size = [], n, draw(st.integers(0, 8))
+    while len(events) < size:
+        room = size - len(events) - (live - n) // 2  # events left once the caps are due
+        kinds = ["cup"] * (room >= 2) + ["x"] * (live >= 2 and room >= 1) + ["cap"] * (live - 2 >= n)
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        if kind == "x":
+            events.append(draw(st.sampled_from((CrossPos, CrossNeg)))(draw(st.integers(1, live - 1))))
+        elif kind == "cup":
+            events.append(draw(st.sampled_from((CupL, CupR)))(draw(st.integers(1, live + 1))))
+            live += 2
+        else:
+            events.append(Cap(draw(st.integers(1, live - 1))))
+            live -= 2
+    while live > n:
+        events.append(Cap(draw(st.integers(1, live - 1))))
+        live -= 2
+    return MorseWord(n, tuple(colors), tuple(events))
+
+
+def _fuzz_argv(draw, command, path):
+    argv = [command, path] + draw(st.sampled_from(([], ["--json"])))
+    if command == "altsum":
+        argv += ["--flips", draw(st.sampled_from(("1", "2", "1,2", "2,3", "9", "0", "x")))]
+    if command in ("taylor", "altsum"):
+        argv += draw(st.sampled_from(([], ["--order", "0"], ["--order", "2"])))
+    if command == "twist":
+        argv += ["--strand", draw(st.sampled_from(("1", "2", "4", "0")))]
+    if command == "spectrum":
+        argv += draw(st.sampled_from(([], ["--angles", "0.25"], ["--angles", "0.25,0.5"],
+                                      ["--angles", "0.1,0.2,0.3,0.4"])))
+    return argv
+
+
+class TestExitContractUnderFuzzing:
+    """cli.run exits 0, 1 or 2 on any input and any of the 12 subcommands,
+    and no exception or traceback reaches the user."""
+
+    @staticmethod
+    def _run_all(data, path, capsys):
+        """Run every subcommand on the file at path; {subcommand: exit code}."""
+        codes = {}
+        for command in SUBCOMMANDS:
+            argv = _fuzz_argv(data.draw, command, path)
+            codes[command] = run(argv)
+            out, err = capsys.readouterr()
+            assert codes[command] in (0, 1, 2), (argv, codes[command])
+            assert "Traceback" not in out + err, argv
+        return codes
+
+    def test_small_valid_words(self, tmp_path, capsys):
+        path = tmp_path / "word.sl"
+        codes = set()
+
+        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+        @given(small_words(), st.data())
+        def contract(word, data):
+            dsl = to_dsl(word)
+            assert parse_morse(dsl) == word
+            path.write_text(dsl)
+            ran = self._run_all(data, str(path), capsys)
+            # an identity holds on every valid word; only spectrum's
+            # unitarity check may fail, at drawn angles
+            assert all(code < 2 for command, code in ran.items() if command != "spectrum"), ran
+            codes.update(ran.values())
+
+        contract()
+        assert 0 in codes and 1 in codes
+
+    def test_random_text_and_token_streams(self, tmp_path, capsys):
+        path = tmp_path / "input.sl"
+        tokens = st.lists(st.sampled_from(TOKENS), max_size=24).flatmap(
+            lambda toks: st.lists(st.sampled_from((" ", "\n")), min_size=len(toks),
+                                  max_size=len(toks)).map(
+                lambda seps: "".join(t + s for t, s in zip(toks, seps))))
+        raw = st.one_of(st.binary(max_size=60), st.text(max_size=60).map(
+            lambda text: text.encode("utf-8", "surrogatepass")), tokens.map(str.encode))
+
+        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+        @given(raw, st.data())
+        def contract(content, data):
+            path.write_bytes(content)
+            self._run_all(data, str(path), capsys)
+
+        contract()
 
 
 PINNED = json.loads((Path(__file__).resolve().parent / "data" / "corpus_outputs.json").read_text())

@@ -213,6 +213,25 @@ def test_exponents_past_the_packed_field_raise(nv):
             make()
 
 
+def test_powers_square_only_while_bits_remain():
+    # in 4 variables exponents lie in [-1024, 1024): a square of the base
+    # after the last set bit of k would reach t^1024 for every k >= 512
+    t = LaurentPoly.var(4, 0)
+    product, powers = LaurentPoly.one(4), {}
+    for k in range(1, 1024):
+        product = product * t
+        powers[k] = product
+    for k in (1, 2, 3, 511, 512, 600, 1023):
+        assert t ** k == powers[k] == LaurentPoly.var(4, 0, k), k
+    with pytest.raises(ExponentRangeError):
+        t ** 1024
+    assert LaurentPoly.var(3, 2) ** 5000 == LaurentPoly.var(3, 2, 5000)  # [-8192, 8192)
+    p, product = LaurentPoly.one(2) - LaurentPoly.var(2, 1, -1), LaurentPoly.one(2)
+    for k in range(9):
+        assert p ** k == product, k
+        product = product * p
+
+
 def _reference_univar_gcd(a, b, var):
     """Monic GCD by Euclid on Fraction coefficient lists: the routine the
     kernel's _univar_gcd replaced."""

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Size ladder: where `stringlinks verify` spends its time on growing words.
+"""Size ladder: where `stringlinks verify`, and report's link minors, spend
+their time on growing words.
 
     python3 tools/ladder.py [RUNG ...]
 
@@ -19,7 +20,8 @@ For each rung it times, one after another, the stages of verify's
 stacking and walk checks: gassner(L), gassner(LL) of the word stacked on
 itself, the product g*g of L's matrix with itself (gassner.squared, as
 verify computes it), the compare of gamma(LL) with it, walk_matrix of
-L's diagram, and the compare of the walk matrix with gamma(L).  Each
+L's diagram, and the compare of the walk matrix with gamma(L); then
+report's link minors, alexander_function of L's matrix.  Each
 stage runs under a wall-clock cap of CAP_S seconds; a stage that hits it
 is recorded as "cap" with the cap as its time, and the stages that need
 its result are recorded as "not run".  A compare that finds the two
@@ -38,7 +40,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stringlinks import add_kink, add_twist, from_braid_word, gassner, stack  # noqa: E402
+from stringlinks import (  # noqa: E402
+    add_kink, add_twist, alexander_function, from_braid_word, gassner, stack)
 from stringlinks.gassner import squared  # noqa: E402
 from stringlinks.walks import walk_matrix  # noqa: E402
 
@@ -47,7 +50,7 @@ RUNGS = {"n%dc%d" % (n, c): (n, c, 7, 0, 0) for n in (3, 4, 5) for c in (16, 32,
 RUNGS.update({"t8": (4, 8, 3, 1, 2), "t16": (4, 16, 3, 2, 4), "t24": (4, 24, 3, 3, 6),
               "t32": (4, 32, 3, 4, 8)})
 CAP_S = 120.0  # wall-clock cap of each stage
-STAGES = ("gassner(L)", "gassner(LL)", "g*g", "compare", "walk", "walk compare")
+STAGES = ("gassner(L)", "gassner(LL)", "g*g", "compare", "walk", "walk compare", "link minors")
 
 
 class CapHit(BaseException):
@@ -90,7 +93,7 @@ def run_rung(name: str, cap: float = CAP_S) -> dict:
     word = rung_word(name)
     values = {}
     needs = {"g*g": ("gassner(L)",), "compare": ("gassner(LL)", "g*g"),
-             "walk": ("gassner(L)",), "walk compare": ("walk",)}
+             "walk": ("gassner(L)",), "walk compare": ("walk",), "link minors": ("gassner(L)",)}
     steps = {
         "gassner(L)": lambda: gassner(word),
         "gassner(LL)": lambda: gassner(stack(word, word)),
@@ -98,6 +101,7 @@ def run_rung(name: str, cap: float = CAP_S) -> dict:
         "compare": lambda: values["gassner(LL)"].entries == values["g*g"],
         "walk": lambda: walk_matrix(values["gassner(L)"].diagram),
         "walk compare": lambda: values["walk"] == values["gassner(L)"].entries,
+        "link minors": lambda: alexander_function(values["gassner(L)"]),
     }
     stages = {}
     for stage in STAGES:
