@@ -266,9 +266,7 @@ def alexander_function(g: GassnerMatrix) -> RatFunc:
     den = d ** (n - 1)
 
     def value(i: int, j: int) -> RatFunc:
-        prefix = LaurentPoly.const(nv, (-1) ** (i + j))
-        for m in range(i + 1):
-            prefix = prefix * LaurentPoly.var(nv, g.colors[m] - 1)
+        prefix = LaurentPoly.monomial(nv, map(g.colors[:i + 1].count, range(1, nv + 1)), (-1) ** (i + j))
         w = LaurentPoly.one(nv) - LaurentPoly.var(nv, g.colors[j] - 1)
         return RatFunc(prefix * det(M.minor(i, j)).num, den * w)
 

@@ -51,6 +51,7 @@ Conventions:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
@@ -142,8 +143,8 @@ def _unpack(key: int, num_vars: int) -> Exponents:
     return tuple(((key >> (field * i)) & mask) - bias for i in range(num_vars - 1, -1, -1))
 
 
-def _in_range(terms: dict, num_vars: int) -> dict:
-    """terms, after checking that no key left the packed range."""
+def _in_range(terms, num_vars: int):
+    """terms (a dict or a tuple of keys), after checking that no key left the packed range."""
     if terms and reduce(or_, terms) & (_zero_key(num_vars) << 1):
         bias = _layout(num_vars)[1]
         raise ExponentRangeError(f"an exponent or total degree left the packed range [-{bias}, {bias})")
@@ -317,9 +318,7 @@ class LaurentPoly:
 
     def scale(self, c) -> "LaurentPoly":
         c = _coeff(c)
-        if c == 0:
-            return LaurentPoly.zero(self.num_vars)
-        return _poly(self.num_vars, {k: _coeff(cc * c) for k, cc in self.terms.items()})
+        return _poly(self.num_vars, _shifted(self.terms, 0, c, self.num_vars) if c else {})
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -621,9 +620,8 @@ class RatFunc:
         if num.is_zero():
             return RatFunc(LaurentPoly.zero(self.num_vars))
         # fold the denominator's unit part into the numerator
-        mu = den.min_exponents()
-        den = den.shift(tuple(-x for x in mu))
-        num = num.shift(tuple(-x for x in mu))
+        back = tuple(-x for x in den.min_exponents())
+        den, num = den.shift(back), num.shift(back)
         if den.terms[min(den.terms)] < 0:
             den, num = -den, -num
         if den.is_one():
@@ -699,13 +697,12 @@ def _univar_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     monomial content; with one live variable, key order is degree order.
     """
     x, y = (p.shift(tuple(-e for e in p.min_exponents())) for p in (a, b))
-    zero = _zero_key(a.num_vars)
     while y.terms:
         top = max(y.terms)
         while x.terms and max(x.terms) >= top:
             lead = max(x.terms)
-            step = {lead - top + zero: _div(x.terms[lead], y.terms[top])}
-            x = x - y * _poly(a.num_vars, step)
+            q = _div(x.terms[lead], y.terms[top])
+            x = x - _poly(a.num_vars, _shifted(y.terms, lead - top, q, a.num_vars))
         x, y = y, x
     return x.scale(_div(1, x.terms[max(x.terms)]))
 
@@ -778,12 +775,6 @@ class RatMatrix:
         return RatMatrix(self.num_vars,
                          [[self.entries[i][j] for i in range(self.rows)]
                           for j in range(self.cols)])
-
-    def minor_matrix(self, i: int, j: int) -> "RatMatrix":
-        """Delete row i and column j (0-based)."""
-        return RatMatrix(self.num_vars,
-                         [[self.entries[r][c] for c in range(self.cols) if c != j]
-                          for r in range(self.rows) if r != i])
 
     def map(self, f) -> "RatMatrix":
         return RatMatrix(self.num_vars, [[f(x) for x in row] for row in self.entries])
@@ -898,6 +889,12 @@ def _laurent_rows(M):
     return _cleared_rows(M.entries, M.num_vars)
 
 
+def _shifted(terms: dict, offset: int, coeff, num_vars: int) -> dict:
+    """terms * coeff t^e, t^e given as its key offset: one range-checked key shift."""
+    return _in_range({k + offset: c if type(c := a * coeff) is int else _coeff(c)
+                      for k, a in terms.items()}, num_vars)
+
+
 def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
     """Sparse elimination on monomial pivots, in Markowitz order.
 
@@ -905,20 +902,21 @@ def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
     `carried` right-hand-side columns after them; pivots are taken only in
     the first `cols`.  A single-term entry is a unit of Q[t^+-1], so while
     one is live, the one of least Markowitz cost (row nonzeros - 1) *
-    (column nonzeros - 1) is the pivot, the scan stopping at cost 0:
-    (a_rj / p) * pivot row is subtracted from every other row r (one Schur
-    complement step, carried columns included), and the pivot's row and
-    column are dropped.  Returns (pivots, core).  Each pivot is (column,
-    signed pivot, inverse, pivot row): the signed pivot carries the sign
-    (-1)^(i+j) of its live position, and the pivot row holds the row's
-    other entries at that step.  The dense core holds the live rows over
-    the live columns, carried columns last.  det(rows) = prod(signed
-    pivots) * det(core) when rows is square, and rank(rows) = len(pivots)
-    + rank(core).
+    (column nonzeros - 1) is the pivot p, the scan stopping at cost 0: (a_rj
+    / p, a key shift) * pivot row is subtracted from every other row r (one
+    Schur complement step, carried columns included), and the pivot's row
+    and column are dropped.  Returns (pivots, core).  Each pivot is (column,
+    signed pivot, (key offset, coefficient) of p^-1, pivot row): the signed
+    pivot carries the sign (-1)^(i+j) of its live position (bisected in the
+    sorted live rows and columns), and the pivot row holds the row's other
+    entries at that step.  The dense core holds the live rows over the live
+    columns, carried columns last.  det(rows) = prod(signed pivots) *
+    det(core) when rows is square, and rank(rows) = len(pivots) + rank(core).
     """
     zero = _zero_key(num_vars)
     live = dict(enumerate(rows))
-    col_rows = {j: set() for j in range(cols + carried)}
+    live_rows, live_cols = list(live), list(range(cols + carried))
+    col_rows = {j: set() for j in live_cols}
     for i, row in live.items():
         for j in row:
             col_rows[j].add(i)
@@ -936,13 +934,15 @@ def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
         if best is None:
             break
         _, i, j = best
-        position = sum(r < i for r in live) + sum(c < j for c in col_rows)
+        at_row, at_col = bisect_left(live_rows, i), bisect_left(live_cols, j)
+        del live_rows[at_row], live_cols[at_col]
         pivot_row = live.pop(i)
         p = pivot_row.pop(j)
-        inverse = p ** -1
+        ((key, coeff),) = p.terms.items()
+        inverse = zero - key, _div(1, coeff)
         for r in col_rows.pop(j) - {i}:
             row = live[r]
-            f = (row.pop(j) * inverse).terms
+            f = _shifted(row.pop(j).terms, *inverse, num_vars)
             for c, v in pivot_row.items():
                 acc = dict(row[c].terms) if c in row else {}
                 x = _finished(_fma(acc, f, v.terms, zero, -1), num_vars)
@@ -954,10 +954,9 @@ def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
                     col_rows[c].add(r)
         for c in pivot_row:
             col_rows[c].discard(i)
-        pivots.append((j, -p if position % 2 else p, inverse, pivot_row))
+        pivots.append((j, -p if (at_row + at_col) % 2 else p, inverse, pivot_row))
     empty = LaurentPoly.zero(num_vars)
-    core = [[row.get(j, empty) for j in sorted(col_rows)] for _, row in sorted(live.items())]
-    return pivots, core
+    return pivots, [[live[i].get(j, empty) for j in live_cols] for i in live_rows]
 
 
 def det(M) -> RatFunc:
@@ -965,22 +964,25 @@ def det(M) -> RatFunc:
 
     M is a RatMatrix or a SparseMatrix.  Its Laurent rows (_laurent_rows)
     lose their monomial pivots sparsely (_unit_pivot_eliminate), and only
-    the leftover core goes through Bareiss elimination.
+    the leftover core goes through Bareiss elimination.  The pivots' product
+    (a key sum, range-checked at each step) shifts the core's last pivot once.
     """
     if M.rows != M.cols:
         raise ShapeError("determinant of a non-square matrix")
     nv = M.num_vars
     cleared, den_factor = _laurent_rows(M)
     pivots, core = _unit_pivot_eliminate(cleared, nv, M.cols)
-    d = LaurentPoly.one(nv)
+    zero = key = _zero_key(nv)
+    coeff = 1
     for _j, p, _inv, _row in pivots:
-        d = d * p
-    if core:
-        sign, _steps, r = _bareiss_eliminate(core)
-        if r < len(core):
-            return RatFunc.zero(nv)
-        d = d * (core[-1][-1] if sign > 0 else -core[-1][-1])
-    return RatFunc(d, den_factor)
+        ((k, c),) = p.terms.items()
+        key, coeff = _in_range((key + k - zero,), nv)[0], coeff * c
+    if not core:
+        return RatFunc(_poly(nv, {key: _coeff(coeff)}), den_factor)
+    sign, _steps, r = _bareiss_eliminate(core)
+    if r < len(core):
+        return RatFunc.zero(nv)
+    return RatFunc(_poly(nv, _shifted(core[-1][-1].terms, key - zero, coeff * sign, nv)), den_factor)
 
 
 def solve(M, B) -> RatMatrix:
@@ -1023,16 +1025,16 @@ def solve(M, B) -> RatMatrix:
         if r < size or steps[-1][1] != size - 1:
             raise SingularMatrixError("coefficient matrix is singular over F")
         d = normalize_unit(core[-1][size - 1])
-        pivoted = {pivot[0] for pivot in pivots}
-        unknowns = [j for j in range(n) if j not in pivoted]
+        unknowns = sorted(set(range(n)).difference(pivot[0] for pivot in pivots))
         for i in reversed(range(size)):
             U = core[i]
             later = [(U[l].terms, N[unknowns[l]]) for l in range(i + 1, size) if U[l].terms]
             N[unknowns[i]] = [substituted(d.terms, U[size + k], later, k).exact_div(U[i])
                               for k in range(m)]
     for j, _p, inverse, row in reversed(pivots):
-        # p_j^-1 goes into each factor, not over the finished sum
-        start, later = (d * inverse).terms, [((v * inverse).terms, N[c]) for c, v in row.items() if c < n]
+        # p_j^-1, a key shift, goes into each factor, not over the finished sum
+        start = _shifted(d.terms, *inverse, nv)
+        later = [(_shifted(v.terms, *inverse, nv), N[c]) for c, v in row.items() if c < n]
         N[j] = [substituted(start, row.get(n + k), later, k) for k in range(m)]
     return _rat_rows(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
 

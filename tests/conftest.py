@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stringlinks import MorseWord, add_twist, from_braid_word, gassner, parse_morse, trace
+from stringlinks import MorseWord, RatMatrix, add_twist, from_braid_word, gassner, parse_morse, trace
 from stringlinks.algebra import SparseMatrix
 from stringlinks.diagram import MorseError, add_kink, is_crossing
 
@@ -119,6 +119,12 @@ def is_permuted_triangular(M) -> bool:
         for cols in live.values():
             cols.discard(j)
     return True
+
+
+def minor_matrix(M: RatMatrix, i: int, j: int) -> RatMatrix:
+    """The dense RatMatrix M with row i and column j (0-based) deleted."""
+    return RatMatrix(M.num_vars, [[x for c, x in enumerate(row) if c != j]
+                                  for r, row in enumerate(M.entries) if r != i])
 
 
 @pytest.fixture(scope="session")

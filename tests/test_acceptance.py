@@ -47,6 +47,7 @@ from stringlinks.diagram import is_crossing
 from conftest import (
     braid_corpus_words,
     corpus_words,
+    minor_matrix,
     pure_corpus_words,
     random_pure_braids,
 )
@@ -217,7 +218,7 @@ def test_criterion_14_reduced_form_identities_on_pure_words():
         b = burau(word)
         one_eye = RatMatrix.identity(1, word.n)
         t = RatFunc(LaurentPoly.var(1, 0))
-        bar_lhs = t * det((one_eye - b).minor_matrix(0, 0))
+        bar_lhs = t * det(minor_matrix(one_eye - b, 0, 0))
         geom = None
         for k in range(1, word.n + 1):
             term = RatFunc(LaurentPoly.var(1, 0, -k))

@@ -40,6 +40,7 @@ from conftest import (
     braid_corpus_words,
     corpus_words,
     load,
+    minor_matrix,
     pure_corpus_words,
     random_twisted_tangles,
 )
@@ -251,7 +252,7 @@ class TestReducedFormIdentities:
             b = burau(word)
             I = RatMatrix.identity(1, n)
             t = RatFunc(LaurentPoly.var(1, 0))
-            lhs = t * det((I - b).minor_matrix(0, 0))
+            lhs = t * det(minor_matrix(I - b, 0, 0))
             geom = None
             for k in range(1, n + 1):
                 term = RatFunc(LaurentPoly.var(1, 0, -k))
@@ -279,7 +280,7 @@ class TestIdealRank:
 def _reference_link_minor(g, i, j):
     """det((I - gamma)(i,j)) by the dense path: I - gamma as a RatMatrix,
     entry by entry, whose det clears each row of its denominators."""
-    return det((RatMatrix.identity(g.num_vars, g.n) - g.entries).minor_matrix(i, j))
+    return det(minor_matrix(RatMatrix.identity(g.num_vars, g.n) - g.entries, i, j))
 
 
 def _reference_alexander_function(g):
@@ -293,7 +294,7 @@ def _reference_alexander_function(g):
 def _reference_one_var_link(g):
     """t det((I - burau)(1,1)), burau = gamma with every variable collapsed."""
     b = RatMatrix(1, [[x.collapse_vars() for x in row] for row in g.entries.entries])
-    minor = det((RatMatrix.identity(1, g.n) - b).minor_matrix(0, 0))
+    minor = det(minor_matrix(RatMatrix.identity(1, g.n) - b, 0, 0))
     return RatFunc(LaurentPoly.var(1, 0)) * minor
 
 

@@ -8,12 +8,14 @@ import pytest
 
 from stringlinks import algebra
 from stringlinks.algebra import (
+    ExponentRangeError,
     SingularMatrixError,
     SparseMatrix,
     _cleared_rows,
     _unit_pivot_eliminate,
 )
-from stringlinks.alexander import _folded
+from stringlinks.alexander import _folded, _link_matrix, closure_matrix
+from stringlinks.diagram import MorseError
 from stringlinks.gassner import solve_fox_system
 from stringlinks.wirtinger import FoxMatrix
 
@@ -36,7 +38,7 @@ from stringlinks import (
     torsion,
 )
 
-from conftest import is_permuted_triangular
+from conftest import corpus_words, is_permuted_triangular, minor_matrix
 
 
 def t(i, power=1, nv=2):
@@ -732,8 +734,265 @@ class TestSparseEntry:
         S = _random_sparse(rng, 5, 5, per_row=4)
         m = S.minor(i, j)
         assert (m.rows, m.cols) == (4, 4)
-        assert _dense(m) == _dense(S).minor_matrix(i, j)
-        assert det(m) == _laplace_det(_dense(S).minor_matrix(i, j))
+        assert _dense(m) == minor_matrix(_dense(S), i, j)
+        assert det(m) == _laplace_det(minor_matrix(_dense(S), i, j))
+
+
+def _reference_eliminate(rows, num_vars, cols, carried=0):
+    """The reference for _unit_pivot_eliminate, in LaurentPoly products: the
+    same Markowitz scan, each pivot's live position counted over all live
+    rows and columns, a_rj / p formed as a_rj * p ** -1, and the LaurentPoly
+    p ** -1 as the third field of a pivot."""
+    zero = algebra._zero_key(num_vars)
+    live = dict(enumerate(rows))
+    col_rows = {j: set() for j in range(cols + carried)}
+    for i, row in live.items():
+        for j in row:
+            col_rows[j].add(i)
+    pivots = []
+    while True:
+        best = None
+        for i, row in live.items():
+            for j, p in row.items():
+                if j < cols and len(p.terms) == 1:
+                    cost = (len(row) - 1) * (len(col_rows[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        position = sum(r < i for r in live) + sum(c < j for c in col_rows)
+        pivot_row = live.pop(i)
+        p = pivot_row.pop(j)
+        inverse = p ** -1
+        for r in col_rows.pop(j) - {i}:
+            row = live[r]
+            f = (row.pop(j) * inverse).terms
+            for c, v in pivot_row.items():
+                acc = dict(row[c].terms) if c in row else {}
+                x = algebra._finished(algebra._fma(acc, f, v.terms, zero, -1), num_vars)
+                if not x.terms:
+                    del row[c]
+                    col_rows[c].discard(r)
+                else:
+                    row[c] = x
+                    col_rows[c].add(r)
+        for c in pivot_row:
+            col_rows[c].discard(i)
+        pivots.append((j, -p if position % 2 else p, inverse, pivot_row))
+    empty = LaurentPoly.zero(num_vars)
+    core = [[row.get(j, empty) for j in sorted(col_rows)] for _, row in sorted(live.items())]
+    return pivots, core
+
+
+def _reference_det(M):
+    """The reference for det: the signed pivots multiplied one product at a time."""
+    cleared, den = algebra._laurent_rows(M)
+    pivots, core = _reference_eliminate(cleared, M.num_vars, M.cols)
+    d = LaurentPoly.one(M.num_vars)
+    for _j, p, _inv, _row in pivots:
+        d = d * p
+    if core:
+        sign, _steps, r = algebra._bareiss_eliminate(core)
+        if r < len(core):
+            return RatFunc.zero(M.num_vars)
+        d = d * (core[-1][-1] if sign > 0 else -core[-1][-1])
+    return RatFunc(d, den)
+
+
+def _reference_rank(M):
+    pivots, core = _reference_eliminate(algebra._laurent_rows(M)[0], M.num_vars, M.cols)
+    return len(pivots) + (algebra._bareiss_eliminate(core)[2] if core else 0)
+
+
+def _reference_solve(M, B):
+    """The reference for solve: the back-substitution over the monomial
+    pivots multiplies d and each pivot-row cell by the LaurentPoly p ** -1."""
+    n, m, nv = M.rows, B.cols, M.num_vars
+    pivots, core = _reference_eliminate(_solve_rows(M, B), nv, n, m)
+    d, N = LaurentPoly.one(nv), {}
+
+    def substituted(scale, b, products, k):
+        total = LaurentPoly.zero(nv) if b is None else scale * b
+        for a, x in products:
+            total = total - a * x[k]
+        return total
+
+    if core:
+        size = len(core)
+        _sign, steps, r = algebra._bareiss_eliminate(core)
+        if r < size or steps[-1][1] != size - 1:
+            raise SingularMatrixError("coefficient matrix is singular over F")
+        d = normalize_unit(core[-1][size - 1])
+        unknowns = [j for j in range(n) if j not in {pivot[0] for pivot in pivots}]
+        for i in reversed(range(size)):
+            later = [(core[i][l], N[unknowns[l]]) for l in range(i + 1, size)]
+            N[unknowns[i]] = [substituted(d, core[i][size + k], later, k).exact_div(core[i][i])
+                              for k in range(m)]
+    for j, _p, inverse, row in reversed(pivots):
+        later = [(v * inverse, N[c]) for c, v in row.items() if c < n]
+        N[j] = [substituted(d * inverse, row.get(n + k), later, k) for k in range(m)]
+    return RatMatrix(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
+
+
+def _solve_rows(M, B):
+    """The Laurent rows of (M B) that solve eliminates."""
+    if isinstance(M, SparseMatrix):
+        return [{**a, **{M.cols + k: v for k, v in b.items()}} for a, b in zip(M.cells, B.cells)]
+    return _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], M.num_vars)[0]
+
+
+def _exact(p):
+    """A LaurentPoly's terms with each coefficient's type: int and
+    Fraction(k, 1) are told apart."""
+    return sorted((k, c, type(c)) for k, c in p.terms.items())
+
+
+def _assert_same_elimination(rows, nv, cols, carried=0):
+    """The kernel and the reference take equal pivots in the same order,
+    leave the same core, and p^-1 is the monomial its (key offset,
+    coefficient) names.  Returns (pivots, core)."""
+    pivots, core = _unit_pivot_eliminate([dict(r) for r in rows], nv, cols, carried)
+    ref_pivots, ref_core = _reference_eliminate([dict(r) for r in rows], nv, cols, carried)
+    zero = algebra._zero_key(nv)
+    assert len(pivots) == len(ref_pivots)
+    for (j, p, (offset, coeff), row), (rj, rp, rinv, rrow) in zip(pivots, ref_pivots):
+        assert (j, _exact(p)) == (rj, _exact(rp))
+        assert _exact(LaurentPoly.monomial(nv, algebra._unpack(zero + offset, nv), coeff)) == _exact(rinv)
+        assert {c: _exact(v) for c, v in row.items()} == {c: _exact(v) for c, v in rrow.items()}
+    assert [[_exact(x) for x in r] for r in core] == [[_exact(x) for x in r] for r in ref_core]
+    return pivots, core
+
+
+def _assert_same_fractions(got, want):
+    """Two RatFuncs with the same numerator and denominator, term for term."""
+    assert (_exact(got.num), _exact(got.den)) == (_exact(want.num), _exact(want.den))
+
+
+def _assert_kernel_matches_reference(M, B=None):
+    """Pivots and core, then det, rank and solve, against the reference."""
+    nv = M.num_vars
+    _assert_same_elimination(algebra._laurent_rows(M)[0], nv, M.cols)
+    assert rank(M) == _reference_rank(M)
+    if M.rows == M.cols:
+        _assert_same_fractions(det(M), _reference_det(M))
+    if B is None:
+        return None
+    pivots, core = _assert_same_elimination(_solve_rows(M, B), nv, M.cols, B.cols)
+    try:
+        want = _reference_solve(M, B)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            solve(M, B)
+        return pivots, core
+    got = solve(M, B)
+    for got_row, want_row in zip(got.entries, want.entries):
+        for x, y in zip(got_row, want_row):
+            _assert_same_fractions(x, y)
+    return pivots, core
+
+
+def _monomial_rows(M, factors):
+    """M with row i multiplied by the monomial factors[i % len(factors)],
+    given as (coefficient, exponents)."""
+    nv = M.num_vars
+    scale = [RatFunc(LaurentPoly.monomial(nv, e, c)) for c, e in factors]
+    return RatMatrix(nv, [[x * scale[i % len(scale)] for x in row] for i, row in enumerate(M.entries)])
+
+
+_CORPUS = corpus_words()
+
+
+class TestKernelAgainstReference:
+    """Key-shift pivots and bisected positions take the pivots, cores and
+    results of the LaurentPoly-product elimination, on the systems the
+    pipeline solves and on seeded matrices."""
+
+    @pytest.mark.parametrize("name, word", _CORPUS, ids=[name for name, _ in _CORPUS])
+    def test_corpus_systems(self, name, word):
+        F = fox_of_word(word)
+        minus_C = SparseMatrix(F.num_vars, F.n, [{j - F.c: -p for j, p in row.items() if j >= F.c}
+                                                 for row in F.rows])
+        _assert_kernel_matches_reference(F.ab(), minus_C)
+        if F.bottom_colors == F.top_colors:
+            V = closure_matrix(F).V
+            for i, j in {(0, 0), (F.c - 1, 0), (0, F.c - 1), (F.c // 2, F.c // 3)}:
+                _assert_kernel_matches_reference(V.minor(i, j))
+        try:
+            g = gassner(word)
+        except MorseError:
+            return
+        M = _link_matrix(g)[0]
+        _assert_kernel_matches_reference(M)
+        if M.rows > 1:
+            _assert_kernel_matches_reference(M.minor(0, 0))
+            _assert_kernel_matches_reference(M.minor(M.rows - 1, 0))
+
+    @pytest.mark.parametrize("factors", [
+        ((2, (0, 0)), (-3, (0, 0))),
+        ((Fraction(1, 2), (0, 0)), (Fraction(-2, 3), (0, 0)), (3, (0, 0))),
+        ((1, (-5, -3)), (-1, (2, -7)), (2, (-4, 0))),
+        ((Fraction(3, 2), (-6, 1)), (-2, (0, -4)), (Fraction(-1, 3), (-2, -2))),
+    ], ids=["coefficient-2-3", "fraction", "negative-exponents", "mixed"])
+    def test_seeded_fox_like(self, factors):
+        seen_core = seen_fraction = False
+        for seed in range(8):
+            rng = random.Random(2100 + seed)
+            M = _monomial_rows(_fox_like(rng, rng.randint(4, 7)), factors)
+            pivots, core = _assert_kernel_matches_reference(M, _random_rhs(rng, M.rows, 2))
+            seen_core |= bool(core)
+            seen_fraction |= any(isinstance(coeff, Fraction) for _j, _p, (_k, coeff), _r in pivots)
+        assert seen_core and seen_fraction
+
+
+class TestKeyShiftRange:
+    """A quotient, a back-substituted factor or a pivot product past the
+    packed range raises; a key is never wrapped into another exponent."""
+
+    nv = 4  # exponents and total degrees lie in [-1024, 1024)
+
+    def x(self, *exps):
+        return LaurentPoly.monomial(self.nv, exps + (0,) * (self.nv - len(exps)))
+
+    def system(self, low):
+        """det = t1^100 + t1^low; t1^100 is the first pivot, with and without
+        the right-hand side, and t1^low / t1^100 fills in row 1."""
+        one = LaurentPoly.one(self.nv)
+        S = SparseMatrix(self.nv, 3, [{0: self.x(100), 2: one}, {0: self.x(low), 1: one},
+                                      {1: one, 2: one}])
+        return S, SparseMatrix(self.nv, 1, [{}, {}, {0: one}])
+
+    def test_quotient_past_the_range_raises(self):
+        # the same pattern in range takes t1^100 as its first pivot
+        S, B = self.system(-900)
+        for rows, carried in ((S.cells, 0), (_solve_rows(S, B), 1)):
+            pivots, _core = _unit_pivot_eliminate([dict(r) for r in rows], self.nv, 3, carried)
+            assert pivots[0][:2] == (0, self.x(100))
+        S, B = self.system(-1000)  # t1^-1000 / t1^100 = t1^-1100
+        with pytest.raises(ExponentRangeError):
+            det(S)
+        with pytest.raises(ExponentRangeError):
+            solve(S, B)
+
+    def test_quotient_at_the_edge_is_exact(self):
+        S, B = self.system(-900)  # t1^-900 / t1^100 = t1^-1000, in range
+        assert det(S) == RatFunc(self.x(100) + self.x(-900))
+        d = LaurentPoly.one(self.nv) + self.x(1000)
+        assert solve(S, B).entries == [[RatFunc(-self.x(900), d)], [RatFunc(LaurentPoly.one(self.nv), d)],
+                                       [RatFunc(self.x(1000), d)]]
+        _assert_kernel_matches_reference(S, B)
+
+    def test_pivot_product_past_the_range_raises(self):
+        # t1^600 t2^-600 has total degree 0; seven of them would carry
+        # between fields if the key sum were checked only at the end
+        p = self.x(600, -600)
+        S = SparseMatrix(self.nv, 7, [{i: p} for i in range(7)])
+        with pytest.raises(ExponentRangeError):
+            det(S)
+        assert rank(S) == 7
+        assert det(SparseMatrix(self.nv, 1, [{0: p}])) == RatFunc(p)
 
 
 def _fraction_row(rng, cols, density=0.7):

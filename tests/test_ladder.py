@@ -20,6 +20,7 @@ def test_rung_sizes_follow_the_recipe():
 def test_t8_split_runs_every_stage():
     result = ladder.run_rung("t8", cap=60.0)
     assert list(result["stages"]) == list(ladder.STAGES)
+    assert ladder.STAGES[-2:] == ("link minors", "closure minors")
     assert {e["status"] for e in result["stages"].values()} == {"ok"}
     assert "| t8 (22 events) |" in ladder.table([result])
 
@@ -32,6 +33,7 @@ def test_a_cap_hit_is_a_result():
     assert stages["gassner(L)"] == {"s": 1e-4, "status": "cap"}
     assert stages["compare"] == {"s": None, "status": "not run"}
     assert stages["walk compare"] == {"s": None, "status": "not run"}
+    assert stages["closure minors"] == {"s": None, "status": "not run"}
 
 
 def test_unknown_rung_is_a_usage_error():
@@ -41,7 +43,7 @@ def test_unknown_rung_is_a_usage_error():
 
 
 def test_braid_rungs_follow_the_recipe():
-    names = ["n%dc%d" % (n, c) for n in (3, 4, 5) for c in (16, 32, 48)]
+    names = ["n%dc%d" % (n, c) for n in (3, 4, 5) for c in (16, 32, 48)] + ["n3c96", "n4c64"]
     assert set(names) <= set(ladder.RUNGS)
     for name in names:
         word = ladder.rung_word(name)

@@ -8,7 +8,7 @@ Run from the root of a checkout.  The rungs are seeded words (default:
 t8 t16):
 
   * the braid rungs nNcC, N in {3, 4, 5} strands and C in {16, 32, 48}
-    crossings: rng = random.Random(7); draw
+    crossings, and n3c96 and n4c64: rng = random.Random(7); draw
     g = rng.randrange(1, N) * rng.choice((1, -1)) and append g twice
     until the word has at least C letters; from_braid_word(N, word);
   * the tangle rungs t8, t16, t24 and t32: the same braid recipe with
@@ -21,12 +21,13 @@ stacking and walk checks: gassner(L), gassner(LL) of the word stacked on
 itself, the product g*g of L's matrix with itself (gassner.squared, as
 verify computes it), the compare of gamma(LL) with it, walk_matrix of
 L's diagram, and the compare of the walk matrix with gamma(L); then
-report's link minors, alexander_function of L's matrix.  Each
-stage runs under a wall-clock cap of CAP_S seconds; a stage that hits it
-is recorded as "cap" with the cap as its time, and the stages that need
-its result are recorded as "not run".  A compare that finds the two
-sides unequal is recorded as "FAIL", and the exit status is then 1.  The
-result is printed as a markdown table.
+report's link minors, alexander_function of L's matrix, and its closure
+minors, alexander_poly_closure of the closure matrix of L's Fox matrix.
+Each stage runs under a wall-clock cap of CAP_S seconds; a stage that
+hits it is recorded as "cap" with the cap as its time, and the stages
+that need its result are recorded as "not run".  A compare that finds
+the two sides unequal is recorded as "FAIL", and the exit status is then
+1.  The result is printed as a markdown table.
 """
 
 from __future__ import annotations
@@ -41,16 +42,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stringlinks import (  # noqa: E402
-    add_kink, add_twist, alexander_function, from_braid_word, gassner, stack)
+    add_kink, add_twist, alexander_function, alexander_poly_closure, closure_matrix,
+    from_braid_word, gassner, stack)
 from stringlinks.gassner import squared  # noqa: E402
 from stringlinks.walks import walk_matrix  # noqa: E402
 
 # name: (strands, crossings c, seed, twists, kinks)
 RUNGS = {"n%dc%d" % (n, c): (n, c, 7, 0, 0) for n in (3, 4, 5) for c in (16, 32, 48)}
+RUNGS.update({"n3c96": (3, 96, 7, 0, 0), "n4c64": (4, 64, 7, 0, 0)})
 RUNGS.update({"t8": (4, 8, 3, 1, 2), "t16": (4, 16, 3, 2, 4), "t24": (4, 24, 3, 3, 6),
               "t32": (4, 32, 3, 4, 8)})
 CAP_S = 120.0  # wall-clock cap of each stage
-STAGES = ("gassner(L)", "gassner(LL)", "g*g", "compare", "walk", "walk compare", "link minors")
+STAGES = ("gassner(L)", "gassner(LL)", "g*g", "compare", "walk", "walk compare", "link minors",
+          "closure minors")
 
 
 class CapHit(BaseException):
@@ -93,7 +97,8 @@ def run_rung(name: str, cap: float = CAP_S) -> dict:
     word = rung_word(name)
     values = {}
     needs = {"g*g": ("gassner(L)",), "compare": ("gassner(LL)", "g*g"),
-             "walk": ("gassner(L)",), "walk compare": ("walk",), "link minors": ("gassner(L)",)}
+             "walk": ("gassner(L)",), "walk compare": ("walk",), "link minors": ("gassner(L)",),
+             "closure minors": ("gassner(L)",)}
     steps = {
         "gassner(L)": lambda: gassner(word),
         "gassner(LL)": lambda: gassner(stack(word, word)),
@@ -102,6 +107,7 @@ def run_rung(name: str, cap: float = CAP_S) -> dict:
         "walk": lambda: walk_matrix(values["gassner(L)"].diagram),
         "walk compare": lambda: values["walk"] == values["gassner(L)"].entries,
         "link minors": lambda: alexander_function(values["gassner(L)"]),
+        "closure minors": lambda: alexander_poly_closure(closure_matrix(values["gassner(L)"].fox)),
     }
     stages = {}
     for stage in STAGES:
