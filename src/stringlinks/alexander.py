@@ -14,15 +14,18 @@ is checked exactly over the rational function field.
 
 full_report traces the word, builds (A B C) and solves it once; the
 resulting GassnerMatrix record carries the word, the diagram, the Fox
-rows and the solution.  knot_closure_relation reads the report, so V of
-the word is folded once.  The solve gives gamma = N / d over one
-denominator d, so the link minors are those of the Laurent matrix
-d I - N over d^(n-1).  The one-variable polynomials collapse the cells
-of V and of d I - N (t_i -> t) and take a (1,1) minor; that is exact
-because det(A B) augments to +-1, so d does not collapse to zero.
+rows and the solution, and full_report takes each determinant once.
+The solve eliminates (A B), so tau is its unit-normal denominator d, and
+gamma = N / d: the link minors are those of the Laurent matrix d I - N
+over d^(n-1).  t_i -> t is a ring map, so the one-variable closure
+polynomial is the collapse of (1 - t) Delta_closure when the certified
+multivariable minor exists, else the collapsed (1,1) minor of V; the
+one-variable link side is the (1,1) minor of the collapsed d I - N, exact
+because d augments to +-1 and does not collapse to zero.
 Delta_closure is still taken from V's own minors, never as
-tau * Delta_L, so the factorization check compares two separately
-computed sides.
+tau * Delta_L, so the factorization checks compare two separately
+computed sides.  knot_closure_relation reads the report, so V of the
+word is folded once.  The torsion command takes det(A B) itself.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     LaurentPoly,
+    NotDivisibleError,
     RatFunc,
     RatMatrix,
     SparseMatrix,
@@ -134,14 +138,6 @@ class KnotClosureCheck:
     correction_den: RatFunc
 
 
-def _as_laurent(r: RatFunc, what: str) -> LaurentPoly:
-    """Certify that a rational function is a Laurent polynomial."""
-    red = r.reduced()
-    if not red.den.is_monomial():
-        raise VerificationError("%s is not a Laurent polynomial: %s" % (what, red))
-    return red.num * red.den ** -1
-
-
 def equal_up_to_units(a, b) -> bool:
     """Equality modulo multiplication by +-(monomial)."""
     ra = a if isinstance(a, RatFunc) else RatFunc(a)
@@ -226,7 +222,11 @@ def alexander_poly_closure(
 
     def quotient(i: int, j: int) -> LaurentPoly:
         w = LaurentPoly.one(nv) - LaurentPoly.var(nv, V.column_colors[j] - 1)
-        return _as_laurent(RatFunc(det(V.V.minor(i, j)).num, w), "closure polynomial")
+        try:
+            return det(V.V.minor(i, j)).num.exact_div(w)
+        except NotDivisibleError:
+            raise VerificationError("closure minor (%d,%d) is not divisible by %s"
+                                    % (i + 1, j + 1, w)) from None
 
     base = normalize_unit(quotient(0, 0))
     if base.is_zero() and rank(V.V) < c - 1:
@@ -276,12 +276,16 @@ def alexander_function(g: GassnerMatrix) -> RatFunc:
     return result
 
 
-def torsion(F: FoxMatrix) -> LaurentPoly:
-    """det(A B): the torsion of the string link, unit-normalized."""
-    tau = det(F.ab()).num
+def _unit_torsion(tau: LaurentPoly) -> LaurentPoly:
+    """tau unit-normalized, after checking that it augments to +-1."""
     if abs(augment(tau)) != 1:
         raise VerificationError("torsion augments to %s, not +-1" % augment(tau))
     return normalize_unit(tau)
+
+
+def torsion(F: FoxMatrix) -> LaurentPoly:
+    """det(A B): the torsion of the string link, unit-normalized."""
+    return _unit_torsion(det(F.ab()).num)
 
 
 def _one_var_minor(M: SparseMatrix) -> LaurentPoly:
@@ -306,7 +310,10 @@ def _closure_components(perm: Sequence[int]) -> int:
 
 
 def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
-    """Every Alexander-type invariant of a word, or of the record of one."""
+    """Every Alexander-type invariant of a word, or of the record of one,
+    each determinant taken once: tau is the solve's unit-normal d, and the
+    one-variable closure polynomial collapses the certified Delta_closure
+    when there is one (see the module docstring)."""
     if isinstance(L, GassnerMatrix):
         if L.fox is None:
             raise VerificationError("gassner matrix carries no Fox matrix")
@@ -321,7 +328,8 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
     pure = diagram.is_pure
     nv = F.num_vars
 
-    tau = torsion(F)
+    M, d = _link_matrix(g)
+    tau = _unit_torsion(d)
     residual_zero = not any(factorization_identity(F, g))
 
     # The minor/(1 - t) closure formula is a multi-component statement;
@@ -329,25 +337,23 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
     components = _closure_components(diagram.perm)
     faithful = len(set(g.colors)) == components
 
-    delta_closure = None
-    delta_link = None
-    multi_ok = None
+    delta_closure = delta_link = multi_ok = None
     if components >= 2 and faithful:
         delta_closure = alexander_poly_closure(V)
         if pure:
             delta_link = alexander_function(g)
-            multi_ok = equal_up_to_units(
-                RatFunc(delta_closure), RatFunc(tau) * delta_link
-            )
+            multi_ok = equal_up_to_units(RatFunc(delta_closure), RatFunc(tau) * delta_link)
 
     tau_one = normalize_unit(tau.collapse_vars())
-    delta_closure_one = normalize_unit(_one_var_minor(V.V))
-    M, d = _link_matrix(g)  # t det((I - burau)(1,1)), burau = gamma at t_i -> t
+    # t_i -> t is a ring map, so (1 - t) times the collapsed Delta_closure
+    # is the collapsed (1,1) minor of V up to a unit
+    delta_closure_one = normalize_unit(
+        _one_var_minor(V.V) if delta_closure is None
+        else (LaurentPoly.one(1) - LaurentPoly.var(1, 0)) * delta_closure.collapse_vars())
+    # t det((I - burau)(1,1)), burau = gamma at t_i -> t
     delta_link_one = RatFunc(LaurentPoly.var(1, 0) * _one_var_minor(M),
                              d.collapse_vars() ** (g.n - 1))
-    one_ok = equal_up_to_units(
-        RatFunc(delta_closure_one), RatFunc(tau_one) * delta_link_one
-    )
+    one_ok = equal_up_to_units(RatFunc(delta_closure_one), RatFunc(tau_one) * delta_link_one)
 
     return AlexReport(
         n=g.n,

@@ -55,7 +55,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul, or_
 from typing import Mapping, Sequence
 
@@ -385,27 +385,38 @@ class LaurentPoly:
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; raises NotDivisibleError on failure.
 
-        Strategy: strip monomial content from both operands (min exponents are
-        additive over a domain), then run single-divisor division in the
-        ordinary polynomial ring, in key (graded-lex) order and in place on
-        the remainder: lead(p) = lead(q) * lead(d) whenever the division is
-        exact, and a quotient exponent below 0 means it is not.  Remainder
-        terms keep exponents >= 0 and at most p's total degree, so no key
-        leaves its range.
+        Over a domain the least and the greatest value of each key field
+        (total degree, exponents) add under products, so an exact quotient
+        spans the box [lo(p) - lo(d), hi(p) - hi(d)] field by field, which
+        must lie in the packed range, and remainder terms stay in p's box.
+        Division runs in key (graded-lex) order, in place on the remainder:
+        lead(p) = lead(q) * lead(d) whenever it is exact, and a quotient
+        term outside the box means it is not; the box test reads the top
+        bit of each field of q - lo and hi - q, offset by 2 * bias.
         """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.num_vars)
-        mp = self.min_exponents()
-        md = other.min_exponents()
-        rem = self.shift(tuple(-x for x in mp)).terms
-        d = other.shift(tuple(-x for x in md)).terms
-        zero = _zero_key(self.num_vars)
+        nv = self.num_vars
+        field, bias = _layout(nv)
+        mask, shifts = (1 << field) - 1, range(field * nv, -1, -field)
+        cols = [([(k >> s) & mask for k in self.terms], [(k >> s) & mask for k in other.terms])
+                for s in shifts]
+        lo, hi = [min(a) - min(b) for a, b in cols], [max(a) - max(b) for a, b in cols]
+        if any(a > b for a, b in zip(lo, hi)):
+            raise NotDivisibleError("exact division failed (exponent spans differ)")
+        if min(lo) < -bias or max(hi) >= bias:
+            raise ExponentRangeError(f"the quotient leaves the packed range [-{bias}, {bias})")
+        d = other.terms
         dl = max(d)
         dl_c = d[dl]
         tail = [(k - dl, c) for k, c in d.items() if k != dl]
+        top, shift = _zero_key(nv) << 1, _zero_key(nv) - dl  # top: 2 * bias in every field
+        above_lo = top - sum(x << s for x, s in zip(lo, shifts)) - dl
+        below_hi = top + sum(x << s for x, s in zip(hi, shifts)) + dl
+        rem = dict(self.terms)
         heap = [-k for k in rem]
         heapify(heap)
         q: dict = {}
@@ -414,10 +425,9 @@ class LaurentPoly:
             c = rem.pop(rl, 0)
             if not c:
                 continue
-            qe = rl - dl + zero
-            if qe & zero != zero:
-                raise NotDivisibleError("exact division failed (monomial mismatch)")
-            qc = q[qe] = _div(c, dl_c)
+            if (rl + above_lo) & (below_hi - rl) & top != top:
+                raise NotDivisibleError("exact division failed (quotient term outside the box)")
+            qc = q[rl + shift] = _div(c, dl_c)
             for dk, dc in tail:
                 k = rl + dk
                 s = rem.get(k)
@@ -430,7 +440,7 @@ class LaurentPoly:
                         rem[k] = s
                     else:
                         del rem[k]
-        return _poly(self.num_vars, q).shift(tuple(a - b for a, b in zip(mp, md)))
+        return _poly(nv, q)
 
     # ---- dunder plumbing ----
 
@@ -462,35 +472,19 @@ class LaurentPoly:
             return "0"
         pieces = []
         for i, (e, c) in enumerate(self.sorted_terms()):
-            factors = []
-            for name, k in zip(var_names, e):
-                if k == 0:
-                    continue
-                factors.append(name if k == 1 else f"{name}^{k}")
+            factors = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(var_names, e) if k)
             mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            if i == 0:
-                pieces.append(("-" if c < 0 else "") + body)
-            else:
-                pieces.append(("- " if c < 0 else "+ ") + body)
+            body = factors if factors and mag == 1 else f"{mag}*{factors}" if factors else str(mag)
+            pieces.append(("-" if c < 0 else "") + body if i == 0 else ("- " if c < 0 else "+ ") + body)
         return " ".join(pieces)
 
 
 def default_var_names(num_vars: int) -> list:
-    if num_vars == 1:
-        return ["t"]
-    return [f"t{i + 1}" for i in range(num_vars)]
+    return ["t"] if num_vars == 1 else [f"t{i + 1}" for i in range(num_vars)]
 
 
 def series_var_names(num_vars: int) -> list:
-    if num_vars == 1:
-        return ["z"]
-    return [f"z{i + 1}" for i in range(num_vars)]
+    return ["z"] if num_vars == 1 else [f"z{i + 1}" for i in range(num_vars)]
 
 
 def augment(p):
@@ -632,12 +626,8 @@ class RatFunc:
             pass
         # pull scalar content out of both parts, remembering the ratio
         def content(p: LaurentPoly) -> Fraction:
-            g = 0
-            l = 1
-            for c in p.terms.values():
-                g = gcd(g, abs(c.numerator))
-                l = l * c.denominator // gcd(l, c.denominator)
-            return Fraction(g, l)
+            cs = p.terms.values()
+            return Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
 
         cn, cd = content(num), content(den)
         ratio = cn / cd
@@ -813,10 +803,12 @@ class SparseMatrix:
         self.rows = len(self.cells)
 
     def minor(self, i: int, j: int) -> "SparseMatrix":
-        """Delete row i and column j (0-based)."""
-        return SparseMatrix(self.num_vars, self.cols - 1,
-                            [{c - (c > j): p for c, p in row.items() if c != j}
-                             for r, row in enumerate(self.cells) if r != i])
+        """Delete row i and column j (0-based); the cells stay sorted and nonzero."""
+        m = SparseMatrix.__new__(SparseMatrix)
+        m.num_vars, m.cols, m.cells = self.num_vars, self.cols - 1, [
+            {c - (c > j): p for c, p in row.items() if c != j} for r, row in enumerate(self.cells) if r != i]
+        m.rows = len(m.cells)
+        return m
 
 
 def _bareiss_eliminate(mat):

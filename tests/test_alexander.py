@@ -34,6 +34,7 @@ from stringlinks import (
 )
 from stringlinks import alexander, algebra
 from stringlinks.algebra import VerificationError
+from stringlinks.diagram import Cap, CupL, CupR
 
 from conftest import (
     CORPUS_DIR,
@@ -385,3 +386,68 @@ class TestTorsionAndDetGamma:
             assert wrong == tau.num.is_monomial(), g.word
             non_unit += not tau.num.is_monomial()
         assert len(all_reports) == 36 and non_unit == 6
+
+
+def _seeded_braids(count: int, seed: int):
+    """Signed braid words on 3-4 strands, pure or not, 2-8 crossings."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.choice([3, 4])
+        words.append(from_braid_word(n, [rng.randint(1, n - 1) * rng.choice([1, -1])
+                                         for _ in range(rng.randint(2, 8))]))
+    return words
+
+
+class TestEachDeterminantOnce:
+    """full_report reads tau off the solve's denominator and collapses the
+    certified multivariable closure minor; the replaced paths, its own
+    det(A B) and the collapsed (1,1) minor of V, give the same values."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, all_reports):
+        return all_reports + [full_report(w) for w in _seeded_braids(16, seed=21)]
+
+    def test_tau_is_the_torsion_determinant(self, reports):
+        non_unit = 0
+        for r in reports:
+            assert r.tau == torsion(r.record.fox), r.record.word
+            non_unit += not r.tau.is_one()
+        assert len(reports) == 52 and non_unit == 6
+
+    def test_one_variable_closure_is_the_collapsed_minor(self, reports):
+        collapsed = cups = 0
+        for r in reports:
+            want = normalize_unit(alexander._one_var_minor(closure_matrix(r.record.fox).V))
+            assert r.delta_closure_one == want, r.record.word
+            collapsed += r.delta_closure is not None
+            cups += any(isinstance(ev, (Cap, CupL, CupR)) for ev in r.record.word.events)
+        assert collapsed == 42 and cups == 15
+        assert any(r.delta_closure is not None and r.delta_closure.is_zero() for r in reports)
+
+    def test_a_wrong_denominator_is_still_caught(self):
+        # N, Z and d times (2 - t1): gamma is the same, and d still augments
+        # to +-1, so only the factorization checks can see the wrong tau.
+        g = gassner(hopf())
+        scale = LaurentPoly.const(2, 2) - LaurentPoly.var(2, 0)
+
+        def scaled(m):
+            return RatMatrix(2, [[RatFunc(x.num * scale, x.den * scale) for x in row]
+                                 for row in m.entries])
+
+        bad = dataclasses.replace(g, entries=scaled(g.entries), Z=scaled(g.Z))
+        assert bad.entries == g.entries and bad.Z == g.Z
+        report = full_report(bad)
+        assert report.tau == scale and algebra.augment(report.tau) == 1
+        assert report.decomposition_residual_zero  # d V - (A B) X scales with d
+        assert report.multi_factorization_ok is False
+        assert report.one_factorization_ok is False
+        assert full_report(g).multi_factorization_ok is True
+
+    def test_closure_minor_not_divisible_by_one_minus_t_is_refused(self):
+        one, t1, t2 = LaurentPoly.one(2), LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
+        # the (1,1) minor is the cell 2, which 1 - t1 does not divide
+        V = alexander.ClosureMatrix(2, 2, 2, algebra.SparseMatrix(2, 2, [
+            {0: one - t2, 1: t1}, {0: t2, 1: LaurentPoly.const(2, 2)}]), (1, 2))
+        with pytest.raises(VerificationError, match="not divisible"):
+            alexander_poly_closure(V)

@@ -737,6 +737,20 @@ class TestSparseEntry:
         assert _dense(m) == minor_matrix(_dense(S), i, j)
         assert det(m) == _laplace_det(minor_matrix(_dense(S), i, j))
 
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 4), (4, 0), (4, 4), (2, 1)])
+    def test_minor_cells_stay_sorted_and_nonzero(self, i, j):
+        # the minor skips the constructor, so it must come out as the
+        # constructor would build it: columns ascending, no zero cell
+        rng = random.Random(2000)
+        S = _random_sparse(rng, 5, 5, per_row=4)
+        want = SparseMatrix(2, 4, [{c: x.num for c, x in enumerate(row)}
+                                   for row in minor_matrix(_dense(S), i, j).entries])
+        for m in (S.minor(i, j), S.minor(i, j).minor(0, 3)):
+            if m.cols == 3:
+                want = SparseMatrix(2, 3, want.minor(0, 3).cells)
+            assert [list(row.items()) for row in m.cells] == [list(row.items()) for row in want.cells]
+            assert (m.num_vars, m.rows, m.cols) == (want.num_vars, want.rows, want.cols)
+
 
 def _reference_eliminate(rows, num_vars, cols, carried=0):
     """The reference for _unit_pivot_eliminate, in LaurentPoly products: the

@@ -164,6 +164,76 @@ def test_exact_division_matches_reference(nv, kind):
             (a * b + LaurentPoly(nv, one)).exact_div(b)
 
 
+@pytest.mark.parametrize("nv", range(1, 6))
+def test_exact_division_reads_the_operands_boxes(nv):
+    # The dividend spans more than the packed range's upper half, the
+    # quotient and divisor do not: a shift of the dividend to exponents >= 0
+    # would leave the range.  In 4 variables this is
+    # (t1^100 - 1 - t1^-900 + t1^-1000) / (1 - t1^-1000) = t1^100 - 1.
+    low = algebra._layout(nv)[1] - 24
+    one = LaurentPoly.one(nv)
+
+    def t(k):
+        return LaurentPoly.var(nv, 0, k)
+
+    p, d = t(100) - one - t(100 - low) + t(-low), one - t(-low)
+    assert p.exact_div(d) == t(100) - one
+    assert (p * t(-23)).exact_div(d * t(-23)) == t(100) - one
+    with pytest.raises(NotDivisibleError):
+        (p + t(-low)).exact_div(d)  # the same span, one coefficient off
+    with pytest.raises(NotDivisibleError):
+        (p + t(50 - low)).exact_div(d)
+    # quotients that really leave the range: t1^(-low - 100), and a
+    # two-term one
+    with pytest.raises(ExponentRangeError):
+        t(-low).exact_div(t(100))
+    with pytest.raises(ExponentRangeError):
+        (t(-low) - t(1 - low)).exact_div(t(100))
+    if nv > 1:  # t1^-low t2^-low: each exponent in range, the total degree past it
+        with pytest.raises(ExponentRangeError):
+            t(-low).exact_div(LaurentPoly.var(nv, 1, low))
+
+
+def test_solve_back_substitutes_over_a_wide_span():
+    # the core's back-substitution divides a numerator spanning t1^-900 ..
+    # t1^100 exactly; shifted to exponents >= 0 it would leave the range
+    one = LaurentPoly.one(4)
+
+    def t(k):
+        return LaurentPoly.var(4, 0, k)
+
+    X = algebra.solve(algebra.SparseMatrix(4, 2, [{0: t(100), 1: one}, {0: t(-900), 1: one}]),
+                      algebra.SparseMatrix(4, 1, [{0: one}, {0: t(-900)}]))
+    assert RatMatrix(4, [[t(100), one], [t(-900), one]]) * X == RatMatrix(4, [[one], [t(-900)]])
+
+
+@pytest.mark.parametrize("nv", range(1, 6))
+def test_exact_division_over_wide_spans_matches_reference(nv):
+    # Terms t_i^e (i = 1, 2) with |e| < half the range: products stay in
+    # range, and their exponents often span more than its upper half.
+    bias = algebra._layout(nv)[1]
+    rng = random.Random(7000 + nv)
+
+    def wide(size):
+        terms = {}
+        for _ in range(size):
+            e = [0] * nv
+            e[rng.randrange(min(nv, 2))] = rng.randint(1 - bias // 2, bias // 2 - 1)
+            terms[tuple(e)] = rng.choice([1, -1, 2, Fraction(1, 3)])
+        return LaurentPoly(nv, terms), _RefPoly(nv, terms)
+
+    spans = 0
+    for _ in range(40):
+        (a, ra), (b, rb) = wide(rng.randint(1, 5)), wide(rng.randint(2, 4))
+        if len(rb.terms) < 2:
+            continue
+        _same((a * b).exact_div(b), (ra * rb).exact_div(rb))
+        with pytest.raises(NotDivisibleError):
+            (a * b + LaurentPoly.one(nv)).exact_div(b)
+        spans += any(max(col) - min(col) >= bias for col in zip(*(ra * rb).terms))
+    assert spans >= 5
+
+
 def _ref_det(rows):
     if not rows:
         return _RefPoly(1, {(0,): 1})

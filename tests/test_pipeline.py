@@ -1,6 +1,6 @@
 """One trace, one Fox build and one solve per word record, the Taylor
-expansions per record, one walk labeling pass per walk oracle, and the
-tracer's names.
+expansions per record, the determinants per report, one walk labeling
+pass per walk oracle, and the tracer's names.
 
 The call counts are taken by wrapping each function in every stringlinks
 module that holds it, the same way slbench's tracer attributes time.
@@ -26,6 +26,8 @@ COUNTED = {
     "closure_matrix": "alexander",
     "taylor_expand": "algebra",
     "rank": "algebra",
+    "det": "algebra",
+    "torsion": "alexander",
     "solve_labeling": "walks",
 }
 
@@ -37,26 +39,37 @@ COUNTED = {
 # n columns in one pass.  Every test word has n = 2, so taylor expands
 # n^2 = 4 entries; altsum expands n^2 entries per distinct denominator of
 # its variants' solves, and both variants of each test word have d = 1.
+# full_report takes 7 determinants on these words: the closure minor at
+# (1,1) and 3 spot-check minors, the 2 link minors of alexander_function
+# and the one-variable link minor.  tau is the solve's d and the
+# one-variable closure polynomial collapses the closure minor, so neither
+# takes a determinant, and only the torsion command calls `torsion`.
+# alexander --braid-b adds the combined word's closure minor and the two
+# Burau correction determinants.
 TARGETS = {
     ("report",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
                   "factorization_identity": 1, "closure_matrix": 1, "taylor_expand": 0,
-                  "rank": 0, "solve_labeling": 0},
+                  "rank": 0, "det": 7, "torsion": 0, "solve_labeling": 0},
     ("verify",): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
                   "factorization_identity": 1, "closure_matrix": 1, "taylor_expand": 0,
-                  "rank": 0, "solve_labeling": 1},
+                  "rank": 0, "det": 7, "torsion": 0, "solve_labeling": 1},
+    ("torsion",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 0, "burau": 0,
+                   "factorization_identity": 0, "closure_matrix": 0, "taylor_expand": 0,
+                   "rank": 0, "det": 1, "torsion": 1, "solve_labeling": 0},
     ("taylor",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
                   "factorization_identity": 0, "closure_matrix": 0, "taylor_expand": 4,
-                  "rank": 0, "solve_labeling": 0},
+                  "rank": 0, "det": 0, "torsion": 0, "solve_labeling": 0},
     ("altsum", "--flips", "1"): {"trace": 2, "fox_matrix": 2, "solve_fox_system": 2, "burau": 0,
                                  "factorization_identity": 0, "closure_matrix": 0,
-                                 "taylor_expand": 4, "rank": 0, "solve_labeling": 0},
+                                 "taylor_expand": 4, "rank": 0, "det": 0, "torsion": 0,
+                                 "solve_labeling": 0},
     ("alexander", "--braid-b", "s1"): {"trace": 3, "fox_matrix": 3, "solve_fox_system": 2,
                                        "burau": 1, "factorization_identity": 1,
                                        "closure_matrix": 2, "taylor_expand": 0, "rank": 0,
-                                       "solve_labeling": 0},
+                                       "det": 10, "torsion": 0, "solve_labeling": 0},
     ("walkcheck",): {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0,
                      "factorization_identity": 0, "closure_matrix": 0, "taylor_expand": 0,
-                     "rank": 0, "solve_labeling": 1},
+                     "rank": 0, "det": 0, "torsion": 0, "solve_labeling": 1},
 }
 
 
@@ -116,6 +129,15 @@ def test_rank_only_when_the_first_closure_minor_vanishes(calls, capsys):
     assert run(["report", str(CORPUS_DIR / "trivial_2.sl")]) == 0
     capsys.readouterr()
     assert calls["rank"] == 1
+
+
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_dets_when_the_closure_polynomial_vanishes(command, calls, capsys):
+    # trivial_2's zero (1,1) closure minor takes no spot checks (one rank
+    # call instead): 1 closure, 2 link and 1 one-variable link determinant.
+    assert run([command, str(CORPUS_DIR / "trivial_2.sl")]) == 0
+    capsys.readouterr()
+    assert (calls["det"], calls["torsion"], calls["rank"]) == (4, 0, 1)
 
 
 def test_traced_names_exist():
