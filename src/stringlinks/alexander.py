@@ -38,7 +38,6 @@ from .algebra import (
     LaurentPoly,
     NotDivisibleError,
     RatFunc,
-    RatMatrix,
     SparseMatrix,
     VerificationError,
     augment,
@@ -48,7 +47,7 @@ from .algebra import (
 )
 from .algebra import _dot, _finished, _fma, _zero_key
 from .diagram import MorseError, MorseWord, from_braid_word, trace
-from .gassner import GassnerMatrix, _solved, burau, fox_of_word, numerators, reduce
+from .gassner import GassnerMatrix, _solved, burau, fox_of_word, reduce
 from .wirtinger import FoxMatrix, fox_matrix, presentation
 
 
@@ -186,11 +185,14 @@ def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> List[Dict[int, Lau
     [gamma; Z] = N / d over the one denominator d of the record's solve, so
     this is d (V - (A B) * [[I - gamma, 0], [-Z, I]]).  Row r of the product
     is d (A B)_r - sum_k a_rk N_k over the nonzeros a_rk, N_k being row k of
-    [N_gamma; N_Z]; d V and the product are computed separately.
+    [N_gamma; N_Z]; d V and the product are computed separately.  A record
+    whose gamma and Z do not share one d is refused.
     """
     if g.Z is None:
         raise VerificationError("gassner matrix carries no Z block")
-    X, d = numerators(g.entries.entries + g.Z.entries)
+    if g.Z.den != g.entries.den:
+        raise VerificationError("gassner matrix entries do not share one denominator")
+    X, d = g.entries.cells + g.Z.cells, g.entries.den
     nv, zero = F.num_vars, _zero_key(F.num_vars)
     unit = d.is_one()  # d = 1 for every braid: d V is V, with no product
     residual = []
@@ -199,9 +201,8 @@ def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> List[Dict[int, Lau
                  for j, x in v_row.items()}
         for k, a in ab_row.items():
             _fma(cells.setdefault(k, {}), d.terms, a.terms, zero, -1)
-            for j, x in enumerate(X[k]):
-                if x.terms:
-                    _fma(cells.setdefault(j, {}), a.terms, x.terms, zero)
+            for j, x in X[k].items():
+                _fma(cells.setdefault(j, {}), a.terms, x.terms, zero)
         residual.append({j: p for j, acc in cells.items() if (p := _finished(acc, nv)).terms})
     return residual
 
@@ -247,9 +248,9 @@ def alexander_poly_closure(
 def _link_matrix(g: GassnerMatrix) -> Tuple[SparseMatrix, LaurentPoly]:
     """(d I - N, d): I - gamma scaled by the one denominator d of the
     record's solve, whose (n-1)-minors are d^(n-1) times those of I - gamma."""
-    N, d = numerators(g.entries.entries)
-    return SparseMatrix(g.num_vars, g.n, [{j: d - x if i == j else -x for j, x in enumerate(row)}
-                                          for i, row in enumerate(N)]), d
+    d, zero = g.entries.den, LaurentPoly.zero(g.num_vars)
+    return SparseMatrix(g.num_vars, g.n, [{**{j: -x for j, x in row.items()}, i: d - row.get(i, zero)}
+                                          for i, row in enumerate(g.entries.cells)]), d
 
 
 def alexander_function(g: GassnerMatrix) -> RatFunc:
@@ -413,10 +414,11 @@ def knot_closure_relation(
     rhs_closure = normalize_unit(_one_var_minor(closure_matrix(fox_of_word(combined)).V))
 
     # gamma at t_i -> t, the Burau matrix: no pole, since det(A B) augments to +-1
-    collapsed = RatMatrix(1, [[x.collapse_vars() for x in row] for row in g.entries.entries])
+    collapsed = SparseMatrix(1, n, [{j: x.collapse_vars() for j, x in row.items()}
+                                    for row in g.entries.cells], g.entries.den.collapse_vars())
     rbL = reduce(collapsed).entries
     rbB = reduce(burau(braid)).entries
-    I = RatMatrix.identity(1, n - 1)
+    I = SparseMatrix.identity(1, n - 1)
     corr_num = det(I - rbL)
     corr_den = det(I - rbL * rbB)
     if corr_den.is_zero():

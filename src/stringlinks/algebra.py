@@ -23,25 +23,25 @@ Conventions:
     range-checks every key touched, zero or not, before it drops zeros and
     turns integral Fractions into ints.  A product is that loop on an
     empty dict; solve, Bareiss and the Schur steps use it throughout.
-  * RatFunc fractions are NOT kept GCD-reduced.  Equality compares the
-    numerators over an equal denominator, else cross-multiplies.
+  * RatFunc fractions are NOT kept GCD-reduced.  Equality compares
+    numerator with numerator over an equal denominator, else
+    cross-multiplies.
     A lightweight `reduced` pass (exact division, monomial/scalar content,
     univariate GCD) exists for presentation purposes only.
   * Canonical text form orders terms by (total degree, exponent tuple).
-  * `det`, `rank` and `solve` take a SparseMatrix of Laurent rows as it
-    is, and clear a RatMatrix of denominators row by row; then they share
-    one sparse elimination: pivots that are monomials (units of the
-    Laurent ring over Q, whatever their coefficient) go first, in
-    Markowitz order, each a Schur complement step, and fraction-free
-    (Bareiss) elimination runs only on the leftover core, so the
-    intermediate swell stays polynomial instead of nested-fraction.  A
-    braid's det(A B) has no core at all.
+  * A matrix is a SparseMatrix: Laurent rows over one denominator.  `det`,
+    `rank` and `solve` take its rows as they are and share one sparse
+    elimination: pivots that are monomials (units of the Laurent ring over
+    Q, whatever their coefficient) go first, in Markowitz order, each a
+    Schur complement step, and fraction-free (Bareiss) elimination runs
+    only on the leftover core, so the intermediate swell stays polynomial
+    instead of nested-fraction.  A braid's det(A B) has no core at all.
   * `solve` carries the right-hand sides through the same elimination and
     back-substitutes fraction-free over the core's last Bareiss pivot d,
-    divided by its unit (`normalize_unit`), so every entry is one fraction
+    divided by its unit (`normalize_unit`), so the solution is one matrix
     N / d over one unit-normal d, and d = 1 when no core is left: the Fox
     systems of braids never leave the Laurent ring.  Denominators equal up
-    to a unit are then equal, so `RatFunc.__eq__` skips cross-multiplying.
+    to a unit are then equal, so `==` skips cross-multiplying.
   * `taylor_expand` substitutes t_i = 1 - z_i by cached binomial rows of
     (1 - z_i)^k and divides by the denominator degree by degree in one
     pass, with `int` coefficients while they are integral.  A
@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import mul, or_
+from operator import or_
 from typing import Mapping, Sequence
 
 
@@ -518,8 +518,8 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
 class RatFunc:
     """A fraction num/den of Laurent polynomials; den must be nonzero.
 
-    Fractions stay unreduced; equality compares numerators over an equal
-    denominator, else cross-multiplies.
+    Fractions stay unreduced; equality compares numerator with numerator
+    over an equal denominator, else cross-multiplies.
     """
 
     __slots__ = ("num", "den")
@@ -701,114 +701,119 @@ def _univar_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 #  Matrices over F
 # ============================================================
 
-def _coerce_entry(x, num_vars: int) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.const(num_vars, x)
-    raise AlgebraError(f"cannot coerce {type(x).__name__} into a matrix entry")
-
-
-class RatMatrix:
-    """A dense matrix over F = Q(t_1..t_n)."""
-
-    __slots__ = ("rows", "cols", "num_vars", "entries")
-
-    def __init__(self, num_vars: int, entries: Sequence[Sequence]):
-        self.num_vars = num_vars
-        self.entries = [[_coerce_entry(x, num_vars) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ShapeError("ragged rows")
-            for x in row:
-                if x.num_vars != num_vars:
-                    raise AlgebraError("entry variable count mismatch")
-
-    @staticmethod
-    def identity(num_vars: int, n: int) -> "RatMatrix":
-        return RatMatrix(num_vars, [[1 if i == j else 0 for j in range(n)]
-                                    for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix addition shape mismatch")
-        return RatMatrix(self.num_vars,
-                         [[self.entries[i][j] + other.entries[i][j]
-                           for j in range(self.cols)] for i in range(self.rows)])
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.num_vars,
-                         [[-x for x in row] for row in self.entries])
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"matrix product shape mismatch: {self.rows}x{self.cols} * "
-                f"{other.rows}x{other.cols}")
-        zero, cols = RatFunc.zero(self.num_vars), list(zip(*other.entries))
-        return RatMatrix(self.num_vars, [
-            [sum((a * b for a, b in zip(row, col) if a.num.terms and b.num.terms), zero) for col in cols]
-            for row in self.entries])
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.num_vars,
-                         [[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
-    def map(self, f) -> "RatMatrix":
-        return RatMatrix(self.num_vars, [[f(x) for x in row] for row in self.entries])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if (self.rows, self.cols, self.num_vars) != (other.rows, other.cols, other.num_vars):
-            return False
-        return all(self.entries[i][j] == other.entries[i][j]
-                   for i in range(self.rows) for j in range(self.cols))
-
-    def __repr__(self):
-        body = "; ".join(", ".join(x.to_text() for x in row) for row in self.entries)
-        return f"RatMatrix[{body}]"
-
-
-def _rat_rows(num_vars: int, entries: list) -> RatMatrix:
-    """The RatMatrix of rows of RatFuncs in num_vars variables, taken as they are."""
-    m = RatMatrix.__new__(RatMatrix)
-    m.num_vars, m.entries, m.rows = num_vars, entries, len(entries)
-    m.cols = len(entries[0]) if entries else 0
-    return m
-
-
 class SparseMatrix:
-    """A matrix over the Laurent ring, kept as the {column: LaurentPoly} rows
-    of its nonzero cells (`cells`); det, rank and solve take it as it is."""
+    """A matrix over F as Laurent cells over one denominator: the {column:
+    LaurentPoly} rows of its nonzero cells (`cells`) and den (default 1),
+    so the matrix is cells / den.  det, rank and solve take it as it is,
+    and solve returns one over its unit-normal d.  `entries` is a read-only
+    view of the rows as RatFunc(N_ij, den)."""
 
-    __slots__ = ("num_vars", "rows", "cols", "cells")
+    __slots__ = ("num_vars", "rows", "cols", "cells", "den")
 
-    def __init__(self, num_vars: int, cols: int, cells: Sequence[Mapping[int, LaurentPoly]]):
+    def __init__(self, num_vars: int, cols: int, cells: Sequence[Mapping[int, LaurentPoly]],
+                 den: LaurentPoly | None = None):
+        if den is not None and den.is_zero():
+            raise ZeroDivisionError("matrix with zero denominator")
         self.num_vars = num_vars
         self.cols = cols
         self.cells = [{j: row[j] for j in sorted(row) if row[j].terms} for row in cells]
         self.rows = len(self.cells)
+        self.den = LaurentPoly.one(num_vars) if den is None else den
+
+    @staticmethod
+    def identity(num_vars: int, n: int) -> "SparseMatrix":
+        one = LaurentPoly.one(num_vars)
+        return SparseMatrix(num_vars, n, [{i: one} for i in range(n)])
+
+    @property
+    def entries(self) -> list:
+        zero = LaurentPoly.zero(self.num_vars)
+        return [[RatFunc(row.get(j, zero), self.den) for j in range(self.cols)] for row in self.cells]
+
+    def __getitem__(self, ij) -> RatFunc:
+        i, j = ij
+        return RatFunc(self.cells[i].get(j, LaurentPoly.zero(self.num_vars)), self.den)
+
+    def _scaled(self, p: LaurentPoly) -> list:
+        """The cells times p."""
+        if p.is_one():
+            return self.cells
+        zero = _zero_key(self.num_vars)
+        return [{j: _finished(_fma({}, x.terms, p.terms, zero), self.num_vars) for j, x in row.items()}
+                for row in self.cells]
+
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError("matrix addition shape mismatch")
+        if self.den == other.den:
+            a, b, den = self.cells, other.cells, self.den
+        else:
+            a, b, den = self._scaled(other.den), other._scaled(self.den), self.den * other.den
+        rows = []
+        for ra, rb in zip(a, b):
+            row = dict(ra)
+            for j, x in rb.items():
+                row[j] = row[j] + x if j in row else x
+            rows.append(row)
+        return SparseMatrix(self.num_vars, self.cols, rows, den)
+
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self + SparseMatrix(other.num_vars, other.cols,
+                                   [{j: -x for j, x in row.items()} for row in other.cells], other.den)
+
+    def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """(A / a)(B / b) = A B / (a b), each cell one accumulated sum of products."""
+        if self.cols != other.rows:
+            raise ShapeError(
+                f"matrix product shape mismatch: {self.rows}x{self.cols} * "
+                f"{other.rows}x{other.cols}")
+        nv, zero = self.num_vars, _zero_key(self.num_vars)
+        rows = []
+        for row in self.cells:
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in other.cells[k].items():
+                    _fma(acc.setdefault(j, {}), a.terms, b.terms, zero)
+            rows.append({j: _finished(cell, nv) for j, cell in acc.items()})
+        den = (other.den if self.den.is_one() else self.den if other.den.is_one()
+               else self.den * other.den)
+        return SparseMatrix(nv, other.cols, rows, den)
+
+    def transpose(self) -> "SparseMatrix":
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.cells):
+            for j, x in row.items():
+                cols[j][i] = x
+        return SparseMatrix(self.num_vars, self.rows, cols, self.den)
+
+    def bar_transpose(self) -> "SparseMatrix":
+        """The conjugate transpose under the bar involution t_i -> t_i^-1."""
+        t = self.transpose()
+        return SparseMatrix(self.num_vars, t.cols, [{j: x.bar() for j, x in row.items()}
+                                                    for row in t.cells], self.den.bar())
 
     def minor(self, i: int, j: int) -> "SparseMatrix":
         """Delete row i and column j (0-based); the cells stay sorted and nonzero."""
         m = SparseMatrix.__new__(SparseMatrix)
-        m.num_vars, m.cols, m.cells = self.num_vars, self.cols - 1, [
+        m.num_vars, m.cols, m.den, m.cells = self.num_vars, self.cols - 1, self.den, [
             {c - (c > j): p for c, p in row.items() if c != j} for r, row in enumerate(self.cells) if r != i]
         m.rows = len(m.cells)
         return m
+
+    def __eq__(self, other) -> bool:
+        """Cells over an equal denominator, else cross-multiplied."""
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        if (self.num_vars, self.rows, self.cols) != (other.num_vars, other.rows, other.cols):
+            return False
+        if self.den == other.den:
+            return self.cells == other.cells
+        return (all(ra.keys() == rb.keys() for ra, rb in zip(self.cells, other.cells))
+                and self._scaled(other.den) == other._scaled(self.den))
+
+    def __repr__(self):
+        body = "[%s]" % ", ".join("[%s]" % ", ".join(str(x.num) for x in row) for row in self.entries)
+        return body if self.den.is_one() else f"{body} / ({self.den})"
 
 
 def _bareiss_eliminate(mat):
@@ -849,36 +854,6 @@ def _bareiss_eliminate(mat):
         prev = piv
         r += 1
     return sign, pivots, r
-
-
-def _cleared_rows(rows, num_vars: int):
-    """Clear each row of fractions to a sparse row of Laurent polynomials.
-
-    A row is multiplied by its distinct denominators and kept as
-    {column: LaurentPoly} over its nonzeros.  Returns (polys, den_factor)
-    with det(rows) = det(polys) / den_factor; row scaling keeps the rank
-    and the solution set of a system.
-    """
-    polys = []
-    den_factor = LaurentPoly.one(num_vars)
-    for row in rows:
-        nonzero = [(j, x) for j, x in enumerate(row) if x.num.terms]
-        dens = []
-        for _j, x in nonzero:
-            if not x.den.is_one() and not any(x.den == d for d in dens):
-                dens.append(x.den)
-                den_factor = den_factor * x.den
-        # x.den (if nontrivial) is exactly one of dens, so multiplying by
-        # the others gives x * prod(dens)
-        polys.append({j: reduce(mul, [d for d in dens if d != x.den], x.num) for j, x in nonzero})
-    return polys, den_factor
-
-
-def _laurent_rows(M):
-    """Fresh Laurent rows of M and the factor dividing their det."""
-    if isinstance(M, SparseMatrix):
-        return [dict(row) for row in M.cells], LaurentPoly.one(M.num_vars)
-    return _cleared_rows(M.entries, M.num_vars)
 
 
 def _shifted(terms: dict, offset: int, coeff, num_vars: int) -> dict:
@@ -951,19 +926,20 @@ def _unit_pivot_eliminate(rows, num_vars: int, cols: int, carried: int = 0):
     return pivots, [[live[i].get(j, empty) for j in live_cols] for i in live_rows]
 
 
-def det(M) -> RatFunc:
-    """Determinant over F: det = prod(signed pivots) * det(core) / (row denominators).
+def det(M: SparseMatrix) -> RatFunc:
+    """Determinant over F: det(cells) / den^rows, det(cells) = prod(signed
+    pivots) * det(core).
 
-    M is a RatMatrix or a SparseMatrix.  Its Laurent rows (_laurent_rows)
-    lose their monomial pivots sparsely (_unit_pivot_eliminate), and only
-    the leftover core goes through Bareiss elimination.  The pivots' product
-    (a key sum, range-checked at each step) shifts the core's last pivot once.
+    M's Laurent rows lose their monomial pivots sparsely
+    (_unit_pivot_eliminate), and only the leftover core goes through
+    Bareiss elimination.  The pivots' product (a key sum, range-checked at
+    each step) shifts the core's last pivot once.
     """
     if M.rows != M.cols:
         raise ShapeError("determinant of a non-square matrix")
     nv = M.num_vars
-    cleared, den_factor = _laurent_rows(M)
-    pivots, core = _unit_pivot_eliminate(cleared, nv, M.cols)
+    den_factor = M.den if M.den.is_one() else M.den ** M.rows
+    pivots, core = _unit_pivot_eliminate([dict(row) for row in M.cells], nv, M.cols)
     zero = key = _zero_key(nv)
     coeff = 1
     for _j, p, _inv, _row in pivots:
@@ -977,28 +953,26 @@ def det(M) -> RatFunc:
     return RatFunc(_poly(nv, _shifted(core[-1][-1].terms, key - zero, coeff * sign, nv)), den_factor)
 
 
-def solve(M, B) -> RatMatrix:
+def solve(M: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """Solve M X = B exactly (M square and invertible over F).
 
-    The rows of (M B), both SparseMatrix or both RatMatrix (then cleared
-    of denominators), go through the kernel of det and rank: monomial
+    The Laurent rows of (M B) go through the kernel of det and rank: monomial
     pivots (_unit_pivot_eliminate) carry B's columns along, and Bareiss
     brings the leftover core to triangular form U; d is its last pivot
     divided by its unit (`normalize_unit`).  Fraction-free back-substitution
-    gives every entry as one fraction N / d: over the core, N_i = (d b_i -
+    gives the solution as one matrix N / d: over the core, N_i = (d b_i -
     sum_j U_ij N_j) / U_ii, an exact division, then over the monomial pivots
     in reverse order, N_j = (d b_j - sum_c a_jc N_c) / p_j: fraction-free
     Gauss-Jordan on the core, up to a unit; d = 1 when no core is left.
+    X is the matrix N / d; denominators of M or B other than 1 then scale
+    it: (A / a)^-1 (C / b) = a A^-1 C / b.
     """
     if M.rows != M.cols:
         raise ShapeError("solve requires a square coefficient matrix")
     if M.rows != B.rows:
         raise ShapeError("right-hand side row count mismatch")
     n, m, nv = M.rows, B.cols, M.num_vars
-    if isinstance(M, SparseMatrix):
-        rows = [{**a, **{n + k: v for k, v in b.items()}} for a, b in zip(M.cells, B.cells)]
-    else:
-        rows, _den = _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], nv)
+    rows = [{**a, **{n + k: v for k, v in b.items()}} for a, b in zip(M.cells, B.cells)]
     pivots, core = _unit_pivot_eliminate(rows, nv, n, m)
     zero, d, empty = _zero_key(nv), LaurentPoly.one(nv), LaurentPoly.zero(nv)
     N = {}
@@ -1028,21 +1002,22 @@ def solve(M, B) -> RatMatrix:
         start = _shifted(d.terms, *inverse, nv)
         later = [(_shifted(v.terms, *inverse, nv), N[c]) for c, v in row.items() if c < n]
         N[j] = [substituted(start, row.get(n + k), later, k) for k in range(m)]
-    return _rat_rows(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
+    X = SparseMatrix(nv, m, [dict(enumerate(N[j])) for j in range(n)], d)
+    return X if M.den.is_one() and B.den.is_one() else SparseMatrix(nv, m, X._scaled(M.den), d * B.den)
 
 
-def rank(M) -> int:
+def rank(M: SparseMatrix) -> int:
     """Rank over F: monomial pivots (_unit_pivot_eliminate) plus rank(core)."""
-    cleared, _den = _laurent_rows(M)
-    pivots, core = _unit_pivot_eliminate(cleared, M.num_vars, M.cols)
+    pivots, core = _unit_pivot_eliminate([dict(row) for row in M.cells], M.num_vars, M.cols)
     return len(pivots) + (_bareiss_eliminate(core)[2] if core else 0)
 
 
-def left_kernel_vector(M: RatMatrix):
+def left_kernel_vector(M: SparseMatrix):
     """A nonzero vector u of Laurent polynomials with u M = 0, or None if
     the left kernel is trivial.
 
-    Bareiss brings the cleared rows of M^T to echelon form; its r nonzero
+    Bareiss brings the Laurent rows of M^T (its den plays no part) to
+    echelon form; its r nonzero
     rows span the same row space, with pivot columns P.  For the first
     free column f, one `solve` of E_P x = -E_f gives x = N / d, so
     u_P = N, u_f = d and every other u_j = 0.
@@ -1050,7 +1025,7 @@ def left_kernel_vector(M: RatMatrix):
     t = M.transpose()
     n, nv = t.cols, t.num_vars
     zero = LaurentPoly.zero(nv)
-    echelon = [[row.get(j, zero) for j in range(n)] for row in _cleared_rows(t.entries, nv)[0]]
+    echelon = [[row.get(j, zero) for j in range(n)] for row in t.cells]
     _sign, pivots, r = _bareiss_eliminate(echelon)
     if r == n:
         return None
@@ -1060,9 +1035,9 @@ def left_kernel_vector(M: RatMatrix):
     X = solve(SparseMatrix(nv, r, [{k: row[c] for k, c in enumerate(P)} for row in rows]),
               SparseMatrix(nv, 1, [{0: -row[f]} for row in rows]))
     u = [zero] * n
-    u[f] = X.entries[0][0].den if r else LaurentPoly.one(nv)
-    for (x,), c in zip(X.entries, P):
-        u[c] = x.num
+    u[f] = X.den
+    for row, c in zip(X.cells, P):
+        u[c] = row.get(0, zero)
     return u
 
 

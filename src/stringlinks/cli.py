@@ -89,15 +89,15 @@ def _matrix_text(data: dict) -> str:
     )
 
 
-def _emit_matrix(g, as_json: bool) -> str:
-    data = matrix_to_json(g)
+def _emit_matrix(matrix, as_json: bool) -> str:
+    data = matrix_to_json(matrix)
     if as_json:
         return json.dumps(data, indent=2)
     return _matrix_text(data)
 
 
 def _cmd_gassner(word: MorseWord, opts) -> str:
-    return _emit_matrix(gassner(word), opts.json)
+    return _emit_matrix(gassner(word).entries, opts.json)
 
 
 def _cmd_burau(word: MorseWord, opts) -> str:
@@ -105,7 +105,7 @@ def _cmd_burau(word: MorseWord, opts) -> str:
 
 
 def _cmd_reduce(word: MorseWord, opts) -> str:
-    return _emit_matrix(reduce(gassner(word)), opts.json)
+    return _emit_matrix(reduce(gassner(word)).entries, opts.json)
 
 
 def _cmd_torsion(word: MorseWord, opts) -> str:

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import RatFunc, TruncatedSeries, VerificationError, series_var_names, taylor_expand
+from .algebra import SparseMatrix, TruncatedSeries, VerificationError, series_var_names, taylor_expand
 from .algebra import _finished
 from .diagram import CrossNeg, CrossPos, MorseWord, is_crossing
-from .gassner import gassner, numerators
+from .gassner import gassner
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,12 @@ class SeriesMatrix:
 
 def taylor_gassner(L: MorseWord, N: int) -> SeriesMatrix:
     """Entrywise Taylor expansion of gamma(L) to total degree N."""
-    g = gassner(L)
-    return _expanded(g.entries.entries, g.num_vars, N)
+    return _expanded(gassner(L).entries, N)
 
 
-def _expanded(rows, num_vars: int, N: int) -> SeriesMatrix:
-    return SeriesMatrix(len(rows), num_vars, N,
-                        tuple(tuple(taylor_expand(x, N) for x in row) for row in rows))
+def _expanded(matrix: SparseMatrix, N: int) -> SeriesMatrix:
+    return SeriesMatrix(matrix.rows, matrix.num_vars, N,
+                        tuple(tuple(taylor_expand(x, N) for x in row) for row in matrix.entries))
 
 
 def _with_signs(
@@ -131,8 +130,8 @@ def alternating_sum(
     """Sum of gamma expansions over all sign assignments of the chosen
     crossings, weighted by the parity of positive choices.
 
-    Each variant is traced and solved on its own; its signed numerators
-    are added into one sum per distinct denominator d of the solves, and
+    Each variant is traced and solved on its own; its signed cells N are
+    added into one sum per distinct denominator d of the solves, and
     each entry of each sum is expanded once.  Truncated expansion is
     linear and exact, so the few series that result add up to the sum of
     the variants' expansions; denominators are never cross-multiplied.
@@ -144,19 +143,20 @@ def alternating_sum(
     problem = flip_problem(L, indices)
     if problem is not None:
         raise VerificationError(problem)
-    sums = {}  # d -> packed term sums of the numerators over d
+    sums = {}  # d -> packed term sums of the cells over d
     for signs in product((1, -1), repeat=len(indices)):
         g = gassner(_with_signs(L, indices, signs))
-        num, d = numerators(g.entries.entries)
         sign = -1 if signs.count(1) % 2 else 1
-        acc_rows = sums.setdefault(d, [[{} for _ in row] for row in num])
-        for acc_row, row in zip(acc_rows, num):
-            for acc, p in zip(acc_row, row):
+        acc_rows = sums.setdefault(g.entries.den, [{} for _ in range(g.n)])
+        for acc_row, row in zip(acc_rows, g.entries.cells):
+            for j, p in row.items():
+                acc = acc_row.setdefault(j, {})
                 for k, c in p.terms.items():
                     acc[k] = acc.get(k, 0) + sign * c
     nv = g.num_vars
     total = None
     for d, acc_rows in sums.items():
-        term = _expanded([[RatFunc(_finished(acc, nv), d) for acc in row] for row in acc_rows], nv, N)
+        summed = [{j: _finished(acc, nv) for j, acc in row.items()} for row in acc_rows]
+        term = _expanded(SparseMatrix(nv, g.n, summed, d), N)
         total = term if total is None else total + term
     return total

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from math import prod
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     LaurentPoly,
     RatFunc,
-    RatMatrix,
     SparseMatrix,
     VerificationError,
     default_var_names,
@@ -48,7 +48,7 @@ from .algebra import (
     parse_ratfunc,
     solve,
 )
-from .algebra import _dot, _rat_rows
+from .algebra import _dot
 from .diagram import Diagram, MorseError, MorseWord, from_braid_word, trace
 from .wirtinger import FoxMatrix, fox_matrix, presentation
 
@@ -64,8 +64,8 @@ class GassnerMatrix:
 
     n: int
     num_vars: int
-    entries: RatMatrix
-    Z: Optional[RatMatrix]
+    entries: SparseMatrix
+    Z: Optional[SparseMatrix]
     colors: Tuple[int, ...]
     top_colors: Tuple[int, ...]
     diagram: Optional[Diagram] = field(default=None, compare=False, repr=False)
@@ -77,7 +77,7 @@ class GassnerMatrix:
 class ReducedMatrix:
     n: int  # strand count of the underlying link; the matrix is (n-1) square
     num_vars: int
-    entries: RatMatrix
+    entries: SparseMatrix
     colors: Tuple[int, ...]
 
 
@@ -85,7 +85,7 @@ class ReducedMatrix:
 class InvariantForm:
     n: int
     num_vars: int
-    J: RatMatrix
+    J: SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -99,30 +99,19 @@ class UnitaryReport:
         return self.max_deviation < self.tolerance
 
 
-def solve_fox_system(fox: FoxMatrix) -> Tuple[RatMatrix, RatMatrix]:
-    """Solve (A B) X = -C; return (gamma, Z) = (top n rows, the rest)."""
+def solve_fox_system(fox: FoxMatrix) -> Tuple[SparseMatrix, SparseMatrix]:
+    """Solve (A B) X = -C; return (gamma, Z) = (top n rows, the rest),
+    both over the solve's one unit-normal denominator d."""
     n, c, nv = fox.n, fox.c, fox.num_vars
     minus_C = SparseMatrix(nv, n, [{j - c: -p for j, p in row.items() if j >= c}
                                    for row in fox.rows])
-    X = solve(fox.ab(), minus_C).entries
-    return _rat_rows(nv, X[:n]), _rat_rows(nv, X[n:])
+    X = solve(fox.ab(), minus_C)
+    return SparseMatrix(nv, n, X.cells[:n], X.den), SparseMatrix(nv, n, X.cells[n:], X.den)
 
 
-def numerators(rows) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
-    """(N, d) of RatFunc rows N / d over one denominator d, as `solve`
-    returns them; VerificationError if the entries do not share one."""
-    d = rows[0][0].den
-    if any(x.den != d for row in rows for x in row):
-        raise VerificationError("gassner matrix entries do not share one denominator")
-    return [[x.num for x in row] for row in rows], d
-
-
-def squared(g: GassnerMatrix) -> RatMatrix:
-    """gamma^2 as N N / d^2 over the one denominator d of the record's
-    solve, each entry one accumulated sum of products."""
-    N, d = numerators(g.entries.entries)
-    nv, dd = g.num_vars, d * d
-    return RatMatrix(nv, [[RatFunc(_dot(zip(row, col), nv), dd) for col in zip(*N)] for row in N])
+def squared(g: GassnerMatrix) -> SparseMatrix:
+    """gamma^2 = N N / d^2."""
+    return g.entries * g.entries
 
 
 def fox_of_word(word: MorseWord) -> FoxMatrix:
@@ -156,7 +145,7 @@ def _solved(word: MorseWord, diagram: Diagram, fox: FoxMatrix) -> GassnerMatrix:
     )
 
 
-def burau(word: MorseWord) -> RatMatrix:
+def burau(word: MorseWord) -> SparseMatrix:
     """One-variable Burau matrix: the same solve with all strands colored 1."""
     monochrome = MorseWord(word.n, (1,) * word.n, word.events)
     fox = fox_of_word(monochrome)
@@ -164,7 +153,7 @@ def burau(word: MorseWord) -> RatMatrix:
     return gamma
 
 
-def _reduction_colors(matrix: RatMatrix, colors) -> Tuple[int, ...]:
+def _reduction_colors(matrix: SparseMatrix, colors) -> Tuple[int, ...]:
     n = matrix.rows
     if colors is not None:
         return tuple(colors)
@@ -180,7 +169,8 @@ def reduce(g, colors=None) -> ReducedMatrix:
 
     In the basis {e_2 + span(w), ..., e_n + span(w)} the induced map is
     gtilde[k][j] = gamma[k][j] - gamma[1][j] (1 - t_k)/(1 - t_1) for
-    k, j >= 2 (indices 1-based, colors applied throughout).
+    k, j >= 2 (indices 1-based, colors applied throughout).  With gamma =
+    N / d that is (N_kj w_1 - N_1j w_k) / (d w_1).
     """
     if isinstance(g, GassnerMatrix):
         matrix, cols = g.entries, g.colors
@@ -192,13 +182,13 @@ def reduce(g, colors=None) -> ReducedMatrix:
     n = matrix.rows
     nv = matrix.num_vars
     if n < 2:
-        return ReducedMatrix(n, nv, RatMatrix(nv, []), cols)
-    one = LaurentPoly.one(nv)
-    w_first = one - LaurentPoly.var(nv, cols[0] - 1)
-    ratios = [RatFunc(one - LaurentPoly.var(nv, c - 1), w_first) for c in cols[1:]]
-    out = [[matrix[k, j] - matrix[0, j] * ratio for j in range(1, n)]
-           for k, ratio in enumerate(ratios, 1)]
-    return ReducedMatrix(n, nv, RatMatrix(nv, out), cols)
+        return ReducedMatrix(n, nv, SparseMatrix(nv, 0, []), cols)
+    one, zero = LaurentPoly.one(nv), LaurentPoly.zero(nv)
+    w = [one - LaurentPoly.var(nv, c - 1) for c in cols]
+    N = [[row.get(j, zero) for j in range(n)] for row in matrix.cells]
+    out = [{j - 1: _dot(((N[k][j], w[0]), (N[0][j], -w[k])), nv) for j in range(1, n)}
+           for k in range(1, n)]
+    return ReducedMatrix(n, nv, SparseMatrix(nv, n - 1, out, matrix.den * w[0]), cols)
 
 
 def full_twist(n: int) -> GassnerMatrix:
@@ -211,12 +201,12 @@ def full_twist(n: int) -> GassnerMatrix:
     w = [one - LaurentPoly.var(nv, i) for i in range(n)]
     u = [LaurentPoly.monomial(nv, tuple(-1 if k <= i else 0 for k in range(nv)))
          for i in range(n)]
-    entries = [[prod_all * (w[i] * u[j] + LaurentPoly.const(nv, int(i == j))) for j in range(n)]
+    entries = [{j: prod_all * (w[i] * u[j] + LaurentPoly.const(nv, int(i == j))) for j in range(n)}
                for i in range(n)]
     return GassnerMatrix(
         n=n,
         num_vars=nv,
-        entries=RatMatrix(nv, entries),
+        entries=SparseMatrix(nv, n, entries),
         Z=None,
         colors=tuple(range(1, n + 1)),
         top_colors=tuple(range(1, n + 1)),
@@ -228,26 +218,26 @@ def full_twist_braid_word(n: int) -> MorseWord:
     return from_braid_word(n, [i for _ in range(n) for i in range(1, n)])
 
 
-def weight_column(num_vars: int, colors: Sequence[int]) -> RatMatrix:
+def weight_column(num_vars: int, colors: Sequence[int]) -> SparseMatrix:
     """Column vector with entries 1 - t_{c_i}.
 
     Every pure string-link matrix fixes this vector: gamma w = w.
     """
     one = LaurentPoly.one(num_vars)
-    return RatMatrix(num_vars, [[one - LaurentPoly.var(num_vars, c - 1)] for c in colors])
+    return SparseMatrix(num_vars, 1, [{0: one - LaurentPoly.var(num_vars, c - 1)} for c in colors])
 
 
-def weight_row(num_vars: int, colors: Sequence[int]) -> RatMatrix:
+def weight_row(num_vars: int, colors: Sequence[int]) -> SparseMatrix:
     """Row vector with entries (t_{c_1} ... t_{c_i})^{-1}.
 
     Every pure string-link matrix fixes this covector: u gamma = u.
     """
-    row = []
+    row = {}
     exps = [0] * num_vars
-    for c in colors:
+    for i, c in enumerate(colors):
         exps[c - 1] -= 1
-        row.append(LaurentPoly.monomial(num_vars, tuple(exps)))
-    return RatMatrix(num_vars, [row])
+        row[i] = LaurentPoly.monomial(num_vars, tuple(exps))
+    return SparseMatrix(num_vars, len(colors), [row])
 
 
 def fixes_weight_vectors(g: GassnerMatrix) -> Tuple[bool, bool]:
@@ -266,20 +256,13 @@ def default_angles(n: int, num_vars: Optional[int] = None) -> List[float]:
     return [j / (2.0 * n * (n + 1)) for j in range(1, count + 1)]
 
 
-def _entries_of(g) -> Tuple[RatMatrix, int]:
-    if isinstance(g, (GassnerMatrix, ReducedMatrix)):
-        return g.entries, g.num_vars
-    return g, g.num_vars
-
-
-def numeric_eval(g, angles: Sequence[float]):
+def numeric_eval(matrix: SparseMatrix, angles: Sequence[float]):
     """Entrywise complex evaluation at t_j = exp(2 pi i a_j)."""
     import numpy
 
-    matrix, nv = _entries_of(g)
-    if len(angles) != nv:
+    if len(angles) != matrix.num_vars:
         raise VerificationError(
-            "expected %d angles, got %d" % (nv, len(angles))
+            "expected %d angles, got %d" % (matrix.num_vars, len(angles))
         )
     point = [cmath.exp(2j * cmath.pi * a) for a in angles]
     return numpy.array([[x.eval_complex(point) for x in row] for row in matrix.entries],
@@ -290,20 +273,21 @@ def _lift_poly(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.num_vars + 1, {e + (0,): c for e, c in p.sorted_terms()})
 
 
-def charpoly_coefficients(matrix: RatMatrix) -> List[RatFunc]:
+def charpoly_coefficients(matrix: SparseMatrix) -> List[RatFunc]:
     """Exact coefficients [c_0, ..., c_m] of det(matrix - x I) in x.
 
     Computed by adjoining a fresh variable for x and taking one exact
-    determinant; the denominator never involves x, so the coefficients
-    are rational functions in the original variables.
+    determinant of (N - x d I) / d for matrix = N / d; the denominator
+    never involves x, so the coefficients are rational functions in the
+    original variables.
     """
     m = matrix.rows
     nv = matrix.num_vars
-    x = LaurentPoly.var(nv + 1, nv)
-    lifted = [[RatFunc(_lift_poly(e.num), _lift_poly(e.den)) for e in row] for row in matrix.entries]
+    x, den = LaurentPoly.var(nv + 1, nv), _lift_poly(matrix.den)
+    lifted = [{j: _lift_poly(p) for j, p in row.items()} for row in matrix.cells]
     for i in range(m):
-        lifted[i][i] = lifted[i][i] - RatFunc(x)
-    d = det(RatMatrix(nv + 1, lifted))
+        lifted[i][i] = lifted[i].get(i, LaurentPoly.zero(nv + 1)) - x * den
+    d = det(SparseMatrix(nv + 1, m, lifted, den))
     den_terms, num_terms = d.den.sorted_terms(), d.num.sorted_terms()
     if any(e[-1] != 0 for e, _ in den_terms):
         raise VerificationError("characteristic polynomial denominator involves x")
@@ -346,24 +330,15 @@ def unitary_spectrum_check(
     return UnitaryReport(float(dev), eigenvalues, tolerance)
 
 
-def _star(matrix: RatMatrix) -> RatMatrix:
-    """Conjugate transpose under the bar involution t_i -> t_i^{-1}."""
-    return RatMatrix(matrix.num_vars, [[x.bar() for x in col] for col in zip(*matrix.entries)])
-
-
-def _kron(P: RatMatrix, Q: RatMatrix) -> RatMatrix:
-    return RatMatrix(P.num_vars, [[a * b for a in p for b in q]
-                                  for p in P.entries for q in Q.entries])
-
-
 def invariant_form(n: int, samples: Sequence[MorseWord]) -> InvariantForm:
     """Solve gtilde* J gtilde = J across the samples for a skew-hermitian J.
 
     The condition is linear in J: with column-major vec, vec(A J B) =
-    (B^T kron A) vec(J) for A = gtilde*, B = gtilde.  A kernel vector of
-    the stacked system gives a candidate K; J = K - K* is skew-hermitian
-    and still invariant (the solution space is star-closed), with the
-    fallback J = (t_1 - t_1^{-1}) K when K is already hermitian.
+    (B^T kron A) vec(J) for A = gtilde*, B = gtilde.  Each sample adds the
+    rows of its block (B^T kron A) - I times its denominator.  A kernel
+    vector of the stacked system gives a candidate K; J = K - K* is
+    skew-hermitian and still invariant (the solution space is star-closed),
+    with the fallback J = (t_1 - t_1^{-1}) K when K is already hermitian.
     """
     if n < 2:
         raise VerificationError("invariant_form needs n >= 2")
@@ -375,44 +350,46 @@ def invariant_form(n: int, samples: Sequence[MorseWord]) -> InvariantForm:
         if gt.num_vars != nv:
             raise VerificationError("samples must be pure words on n strands")
         reduced.append(gt.entries)
-    eye = RatMatrix.identity(nv, m * m)
     stacked_rows = []
     for gt in reduced:
-        M = _kron(gt.transpose(), _star(gt)) + (-eye)
-        stacked_rows.extend(M.entries)
-    stacked = RatMatrix(nv, stacked_rows)
-    v = left_kernel_vector(stacked.transpose())
+        star = gt.bar_transpose()
+        den = gt.den * star.den  # the denominator of B^T kron A
+        for i, row in enumerate({a * m + b: x * y for a, x in p.items() for b, y in q.items()}
+                                for p in gt.transpose().cells for q in star.cells):
+            row[i] = row[i] - den if i in row else -den
+            stacked_rows.append(row)
+    v = left_kernel_vector(SparseMatrix(nv, m * m, stacked_rows).transpose())
     if v is None:
         raise VerificationError("invariant form: only the zero solution found")
-    K = RatMatrix(nv, [[v[j * m + i] for j in range(m)] for i in range(m)])
-    J = K + (-_star(K))
-    vanishes = lambda A: all(x.is_zero() for row in A.entries for x in row)
-    if vanishes(J):
-        skew = RatFunc(LaurentPoly.var(nv, 0) - LaurentPoly.var(nv, 0, -1))
-        J = K.map(lambda e: e * skew)
-    if vanishes(J):
+    K = SparseMatrix(nv, m, [{j: v[j * m + i] for j in range(m)} for i in range(m)])
+    J = K - K.bar_transpose()
+    if not any(J.cells):
+        skew = LaurentPoly.var(nv, 0) - LaurentPoly.var(nv, 0, -1)
+        J = SparseMatrix(nv, m, [{j: x * skew for j, x in row.items()} for row in K.cells])
+    if not any(J.cells):
         raise VerificationError("invariant form: J = 0, which every sample fixes vacuously")
-    if _star(J) != J.map(lambda e: -e):
+    if any((J.bar_transpose() + J).cells):
         raise VerificationError("invariant form is not skew-hermitian")
     for gt in reduced:
-        if _star(gt) * J * gt != J:
+        if gt.bar_transpose() * J * gt != J:
             raise VerificationError("invariant form fails on a sample")
     return InvariantForm(n=n, num_vars=nv, J=J)
 
 
-def matrix_to_json(g, var_names: Optional[Sequence[str]] = None) -> dict:
+def matrix_to_json(matrix: SparseMatrix, var_names: Optional[Sequence[str]] = None) -> dict:
     """Serialize a matrix as {"n", "vars", "entries"} with canonical text."""
-    matrix, nv = _entries_of(g)
-    names = list(var_names) if var_names else default_var_names(nv)
+    names = list(var_names) if var_names else default_var_names(matrix.num_vars)
     entries = [[x.reduced().to_text(names) for x in row] for row in matrix.entries]
     return {"n": matrix.rows, "vars": names, "entries": entries}
 
 
-def matrix_from_json(data: dict) -> RatMatrix:
+def matrix_from_json(data: dict) -> SparseMatrix:
+    """The matrix of `matrix_to_json`'s text, its cells' fractions cleared
+    to one denominator: the product of their distinct denominators."""
     names = list(data["vars"])
     nv = len(names)
-    rows = [
-        [parse_ratfunc(cell, nv, names) for cell in row]
-        for row in data["entries"]
-    ]
-    return RatMatrix(nv, rows)
+    rows = [[parse_ratfunc(cell, nv, names) for cell in row] for row in data["entries"]]
+    dens = list(dict.fromkeys(x.den for row in rows for x in row if not x.den.is_one()))
+    cells = [{j: prod((d for d in dens if d != x.den), start=x.num) for j, x in enumerate(row)}
+             for row in rows]
+    return SparseMatrix(nv, len(rows[0]) if rows else 0, cells, prod(dens, start=LaurentPoly.one(nv)))

@@ -25,17 +25,15 @@ strands.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from .algebra import (
     LaurentPoly,
+    NotDivisibleError,
     PoleError,
-    RatFunc,
-    RatMatrix,
     SparseMatrix,
     VerificationError,
-    _cleared_rows,
-    _coerce_entry,
+    _dot,
     _finished,
     _fma,
     _zero_key,
@@ -45,28 +43,25 @@ from .diagram import CrossNeg, CrossPos, Diagram, MorseWord, trace
 from .gassner import GassnerMatrix
 
 
-def solve_labeling(
-    diagram: Diagram, top_labels: Sequence[Sequence], num_vars: Optional[int] = None
-) -> Tuple[Tuple[RatFunc, ...], ...]:
-    """The unique labelings extending an n x m grid of top-edge labels.
+def solve_labeling(diagram: Diagram, top_labels: SparseMatrix) -> SparseMatrix:
+    """The unique labelings extending an n x m matrix of top-edge labels.
 
     Row j of top_labels labels top edge j, one column per labeling.
-    Returns, indexed by diagram edge id, each edge's m labels.  The top
-    labels are cleared to one denominator D; the rules then fire in
-    dependency order (Kahn's algorithm), each edge carrying m Laurent
-    numerators over D.  Rules left stalled by loops (cups/caps) form one
-    small linear system with m right-hand sides, solved exactly.
+    Returns the labels as one matrix, one row per diagram edge id, over
+    one denominator.  The rules fire in dependency order (Kahn's
+    algorithm), each edge carrying m Laurent cells over the top labels'
+    denominator D.  Rules left stalled by loops (cups/caps) form
+    one small linear system with m right-hand sides, solved exactly over
+    its d; the labels found before it are then scaled by d, so every
+    label is a cell over d D.
     """
-    nv = num_vars if num_vars is not None else max(diagram.colors)
-    m = len(top_labels[0]) if top_labels else 0
-    if len(top_labels) != diagram.n or any(len(row) != m for row in top_labels):
-        raise VerificationError("expected an %d x m grid of top labels" % diagram.n)
-    flat = [_coerce_entry(x, nv) for row in top_labels for x in row]
-    (cleared,), den = _cleared_rows([flat], nv)
+    nv, m = top_labels.num_vars, top_labels.cols
+    if top_labels.rows != diagram.n:
+        raise VerificationError("expected an %d x m matrix of top labels" % diagram.n)
     zero, one = LaurentPoly.zero(nv), LaurentPoly.one(nv)
     labels: List[Optional[list]] = [None] * diagram.num_edges
-    for j, e in enumerate(diagram.top_edges):
-        labels[e] = [cleared.get(j * m + k, zero) for k in range(m)]
+    for row, e in zip(top_labels.cells, diagram.top_edges):
+        labels[e] = [row.get(k, zero) for k in range(m)]
 
     # rule per non-top edge: (lhs, ((coeff, dep), ...)) meaning
     # label(lhs) = sum coeff * label(dep)
@@ -96,28 +91,29 @@ def solve_labeling(
             if not unknown[r]:
                 ready.append(r)
 
-    out = [None if vec is None else tuple(RatFunc(x, den) for x in vec) for vec in labels]
+    fired = SparseMatrix(nv, m, [{} if vec is None else dict(enumerate(vec)) for vec in labels],
+                         top_labels.den)
     stalled = [rules[r] for r, k in enumerate(unknown) if k]
-    if stalled:
-        # Cyclic core: one unknown per stalled rule, all m labelings at once.
-        index = {e: k for k, e in enumerate(sorted(lhs for lhs, _ in stalled))}
-        if len(index) != len(stalled):
-            raise VerificationError("labeling system is not square")
-        M, B = [], []
-        for lhs, terms in stalled:
-            row = {index[lhs]: one}
-            for coeff, d in terms:
-                if labels[d] is None:
-                    row[index[d]] = row.get(index[d], zero) - coeff
-            M.append(row)
-            known = tuple(term for term in terms if labels[term[1]] is not None)
-            B.append(dict(enumerate(_combine(known, labels, m, one))))
-        X = solve(SparseMatrix(nv, len(index), M), SparseMatrix(nv, m, B))
-        if not den.is_one():
-            X = X.map(lambda x: RatFunc(x.num, x.den * den))
-        for e, k in index.items():
-            out[e] = tuple(X.entries[k])
-    return tuple(out)
+    if not stalled:
+        return fired
+    # Cyclic core: one unknown per stalled rule, all m labelings at once.
+    index = {e: k for k, e in enumerate(sorted(lhs for lhs, _ in stalled))}
+    if len(index) != len(stalled):
+        raise VerificationError("labeling system is not square")
+    M, B = [], []
+    for lhs, terms in stalled:
+        row = {index[lhs]: one}
+        for coeff, d in terms:
+            if labels[d] is None:
+                row[index[d]] = row.get(index[d], zero) - coeff
+        M.append(row)
+        known = tuple(term for term in terms if labels[term[1]] is not None)
+        B.append(dict(enumerate(_combine(known, labels, m, one))))
+    X = solve(SparseMatrix(nv, len(index), M), SparseMatrix(nv, m, B))
+    rows = list(fired._scaled(X.den))
+    for e, k in index.items():
+        rows[e] = X.cells[k]
+    return SparseMatrix(nv, m, rows, X.den * fired.den)
 
 
 def _combine(terms, labels, m: int, one: LaurentPoly) -> list:
@@ -135,20 +131,19 @@ def _combine(terms, labels, m: int, one: LaurentPoly) -> list:
     return [_finished(acc, nv) if acc else empty for acc in cells]
 
 
-def walk_matrix(diagram: Diagram, num_vars: Optional[int] = None) -> RatMatrix:
+def walk_matrix(diagram: Diagram, num_vars: Optional[int] = None) -> SparseMatrix:
     """G[i][j] = label of bottom edge i when the top labels are delta_j."""
     nv = num_vars if num_vars is not None else max(diagram.colors)
-    identity = [[int(i == j) for j in range(diagram.n)] for i in range(diagram.n)]
-    labels = solve_labeling(diagram, identity, nv)
-    return RatMatrix(nv, [labels[e] for e in diagram.bottom_edges])
+    labels = solve_labeling(diagram, SparseMatrix.identity(nv, diagram.n))
+    return SparseMatrix(nv, diagram.n, [labels.cells[e] for e in diagram.bottom_edges], labels.den)
 
 
-def _braid_walk_matrix(n, colors, events, num_vars) -> RatMatrix:
+def _braid_walk_matrix(n, colors, events, num_vars) -> SparseMatrix:
     word = MorseWord(n, tuple(colors), tuple(events))
     return walk_matrix(trace(word), num_vars)
 
 
-def twist_formula(g, strand: int = 1) -> RatMatrix:
+def twist_formula(g, strand: int = 1) -> SparseMatrix:
     """Closed form for the Gassner matrix after a negative horizontal twist.
 
     For a twist on the first strand, with a = g[1][1], b/c the first
@@ -194,25 +189,29 @@ def twist_formula(g, strand: int = 1) -> RatMatrix:
     return mu * _twist_first(inner, colors[s - 1] - 1) * mu_inv
 
 
-def _twist_first(matrix: RatMatrix, var: int) -> RatMatrix:
-    n = matrix.rows
-    nv = matrix.num_vars
-    one = LaurentPoly.one(nv)
+def _twist_first(matrix: SparseMatrix, var: int) -> SparseMatrix:
+    """The first-strand twist of matrix = N / d, over q = d (1 - a z) = d -
+    N_11 z: the first row and column are z q + t^{-2} N_11, t^{-1} N_1j and
+    t^{-1} N_j1, the block (N_ij q + z N_i1 N_1j) / d, an exact division
+    when d divides the 2 x 2 minors of N, as it does for a solved matrix;
+    otherwise the whole matrix goes over d q."""
+    n, nv, d = matrix.rows, matrix.num_vars, matrix.den
+    zero = LaurentPoly.zero(nv)
+    N = [[row.get(j, zero) for j in range(n)] for row in matrix.cells]
     t_inv = LaurentPoly.var(nv, var, -1)
-    z = RatFunc(one - t_inv)
-    a = matrix[0, 0]
-    alpha_den = RatFunc.one(nv) - a * z
-    if alpha_den.is_zero():
+    z = LaurentPoly.one(nv) - t_inv
+    q = d - N[0][0] * z
+    if q.is_zero():
         raise PoleError("twist formula degenerates: 1 - a (1 - t^{-1}) = 0")
-    alpha = alpha_den.inverse()
-    ti = RatFunc(t_inv)
-    ti2 = RatFunc(LaurentPoly.var(nv, var, -2))
-    out = [[None] * n for _ in range(n)]
-    out[0][0] = z + ti2 * alpha * a
-    for j in range(1, n):
-        out[0][j] = ti * alpha * matrix[0, j]
-        out[j][0] = ti * alpha * matrix[j, 0]
-    for i in range(1, n):
-        for j in range(1, n):
-            out[i][j] = matrix[i, j] + z * alpha * matrix[i, 0] * matrix[0, j]
-    return RatMatrix(nv, out)
+    first = [z * q + LaurentPoly.var(nv, var, -2) * N[0][0]] + [t_inv * x for x in N[0][1:]]
+    column = [t_inv * N[i][0] for i in range(1, n)]
+    block = [[_dot(((N[i][j], q), (z * N[i][0], N[0][j])), nv) for j in range(1, n)]
+             for i in range(1, n)]
+    den = q
+    if not d.is_one():
+        try:
+            block = [[x.exact_div(d) for x in row] for row in block]
+        except NotDivisibleError:
+            first, column, den = [x * d for x in first], [x * d for x in column], d * q
+    cells = [first] + [[c] + row for c, row in zip(column, block)]
+    return SparseMatrix(nv, n, [dict(enumerate(row)) for row in cells], den)

@@ -5,12 +5,14 @@ reproducible from the test name alone.
 """
 
 import random
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from stringlinks import MorseWord, RatMatrix, add_twist, from_braid_word, gassner, parse_morse, trace
-from stringlinks.algebra import SparseMatrix
+from stringlinks import (LaurentPoly, MorseWord, RatFunc, SparseMatrix, add_twist, from_braid_word,
+                         gassner, parse_morse, trace)
 from stringlinks.diagram import MorseError, add_kink, is_crossing
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -98,19 +100,14 @@ def random_twisted_tangles(count: int, seed: int):
     return words
 
 
-def is_permuted_triangular(M) -> bool:
-    """Whether rows and columns of the square RatMatrix or SparseMatrix M
-    permute to triangular.
+def is_permuted_triangular(M: SparseMatrix) -> bool:
+    """Whether rows and columns of the square matrix M permute to triangular.
 
     Rows that mention a single live column are peeled off with their
     column; the peeling stalls exactly when some unknowns depend on each
     other in a cycle (or M is structurally singular).
     """
-    if isinstance(M, SparseMatrix):
-        live = {i: set(row) for i, row in enumerate(M.cells)}
-    else:
-        live = {i: {j for j, x in enumerate(row) if not x.is_zero()}
-                for i, row in enumerate(M.entries)}
+    live = {i: set(row) for i, row in enumerate(M.cells)}
     while live:
         single = next((i for i, cols in live.items() if len(cols) == 1), None)
         if single is None:
@@ -121,10 +118,30 @@ def is_permuted_triangular(M) -> bool:
     return True
 
 
-def minor_matrix(M: RatMatrix, i: int, j: int) -> RatMatrix:
-    """The dense RatMatrix M with row i and column j (0-based) deleted."""
-    return RatMatrix(M.num_vars, [[x for c, x in enumerate(row) if c != j]
-                                  for r, row in enumerate(M.entries) if r != i])
+def as_ratfunc(num_vars: int, x) -> RatFunc:
+    """A RatFunc, LaurentPoly, int or Fraction as a RatFunc."""
+    if isinstance(x, (int, Fraction)):
+        x = LaurentPoly.const(num_vars, x)
+    return x if isinstance(x, RatFunc) else RatFunc(x)
+
+
+def sparse(num_vars: int, grid) -> SparseMatrix:
+    """The matrix of a grid of `as_ratfunc` cells, its fractions cleared to
+    one denominator: the product of the distinct denominators."""
+    rows = [[as_ratfunc(num_vars, x) for x in row] for row in grid]
+    dens = []
+    for x in (x for row in rows for x in row):
+        if not x.den.is_one() and not any(x.den == d for d in dens):
+            dens.append(x.den)
+    cells = [{j: prod((d for d in dens if d != x.den), start=x.num) for j, x in enumerate(row)}
+             for row in rows]
+    return SparseMatrix(num_vars, len(grid[0]) if grid else 0, cells,
+                        prod(dens, start=LaurentPoly.one(num_vars)))
+
+
+def minor_matrix(grid, i: int, j: int) -> list:
+    """The grid of RatFunc with row i and column j (0-based) deleted."""
+    return [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(grid) if r != i]
 
 
 @pytest.fixture(scope="session")

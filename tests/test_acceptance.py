@@ -10,7 +10,7 @@ import random
 from stringlinks import (
     LaurentPoly,
     RatFunc,
-    RatMatrix,
+    SparseMatrix,
     add_twist,
     alexander_function,
     alexander_poly_closure,
@@ -47,7 +47,6 @@ from stringlinks.diagram import is_crossing
 from conftest import (
     braid_corpus_words,
     corpus_words,
-    minor_matrix,
     pure_corpus_words,
     random_pure_braids,
 )
@@ -174,7 +173,7 @@ def test_criterion_12_concordance_inverse_on_braid_words():
     for name, word in braid_corpus_words():
         doubled = stack(word, invert(word))
         g = gassner(doubled)
-        assert g.entries == RatMatrix.identity(g.num_vars, g.n), name
+        assert g.entries == SparseMatrix.identity(g.num_vars, g.n), name
 
 
 def test_criterion_13_minor_choice_invariance():
@@ -208,7 +207,7 @@ def test_criterion_14_reduced_form_identities_on_pure_words():
             g = gassner(word)
             nv = g.num_vars
             gt = reduce(g).entries
-            eye = RatMatrix.identity(nv, g.n - 1)
+            eye = SparseMatrix.identity(nv, g.n - 1)
             num = det(eye - gt)
             den = RatFunc(LaurentPoly.monomial(nv, (-1,) * nv)) - RatFunc.one(nv)
             rhs = num / den
@@ -216,15 +215,15 @@ def test_criterion_14_reduced_form_identities_on_pure_words():
             assert lhs == rhs or lhs == -rhs, name
 
         b = burau(word)
-        one_eye = RatMatrix.identity(1, word.n)
+        one_eye = SparseMatrix.identity(1, word.n)
         t = RatFunc(LaurentPoly.var(1, 0))
-        bar_lhs = t * det(minor_matrix(one_eye - b, 0, 0))
+        bar_lhs = t * det((one_eye - b).minor(0, 0))
         geom = None
         for k in range(1, word.n + 1):
             term = RatFunc(LaurentPoly.var(1, 0, -k))
             geom = term if geom is None else geom + term
         bt = reduce(b).entries
-        bar_rhs = det(RatMatrix.identity(1, word.n - 1) - bt)
+        bar_rhs = det(SparseMatrix.identity(1, word.n - 1) - bt)
         assert bar_lhs * geom == bar_rhs, name
 
 

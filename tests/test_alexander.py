@@ -8,7 +8,7 @@ import pytest
 from stringlinks import (
     LaurentPoly,
     RatFunc,
-    RatMatrix,
+    SparseMatrix,
     add_twist,
     alexander_function,
     alexander_poly_closure,
@@ -44,6 +44,7 @@ from conftest import (
     minor_matrix,
     pure_corpus_words,
     random_twisted_tangles,
+    sparse,
 )
 
 
@@ -106,9 +107,10 @@ class TestClosureMatrix:
             assert any(not x.den.is_one() for row in g.entries.entries for x in row)
         F = g.fox
         assert not any(factorization_identity(F, g))
-        rows = [row[:] for row in getattr(g, part).entries]
-        rows[-1][0] = rows[-1][0] + RatFunc.one(F.num_vars)
-        perturbed = dataclasses.replace(g, **{part: RatMatrix(F.num_vars, rows)})
+        M = getattr(g, part)
+        rows = [dict(row) for row in M.cells]
+        rows[-1][0] = rows[-1].get(0, LaurentPoly.zero(F.num_vars)) + M.den
+        perturbed = dataclasses.replace(g, **{part: SparseMatrix(F.num_vars, M.cols, rows, M.den)})
         k = (F.n if part == "entries" else F.c) - 1
         hit = [r for r, row in enumerate(F.ab().cells) if k in row]
         residual = factorization_identity(F, perturbed)
@@ -239,7 +241,7 @@ class TestReducedFormIdentities:
             g = gassner(word)
             nv = g.num_vars
             gt = reduce(g).entries
-            I = RatMatrix.identity(nv, g.n - 1)
+            I = SparseMatrix.identity(nv, g.n - 1)
             num = det(I - gt)
             den = RatFunc(LaurentPoly.monomial(nv, (-1,) * nv)) - RatFunc.one(nv)
             rhs = num / den
@@ -251,15 +253,15 @@ class TestReducedFormIdentities:
         for gens, n in (([1], 2), ([1, 1, 1], 2), ([1, -2], 3), ([1, 2, 1], 3)):
             word = from_braid_word(n, gens)
             b = burau(word)
-            I = RatMatrix.identity(1, n)
+            I = SparseMatrix.identity(1, n)
             t = RatFunc(LaurentPoly.var(1, 0))
-            lhs = t * det(minor_matrix(I - b, 0, 0))
+            lhs = t * det((I - b).minor(0, 0))
             geom = None
             for k in range(1, n + 1):
                 term = RatFunc(LaurentPoly.var(1, 0, -k))
                 geom = term if geom is None else geom + term
             bt = reduce(b).entries
-            rhs = det(RatMatrix.identity(1, n - 1) - bt)
+            rhs = det(SparseMatrix.identity(1, n - 1) - bt)
             assert lhs * geom == rhs, gens
 
 
@@ -278,10 +280,16 @@ class TestIdealRank:
             ideal_rank_check(V, gassner(word), 5)
 
 
+def _identity_minus(grid):
+    """I - grid, entry by entry in RatFunc arithmetic."""
+    nv = grid[0][0].num_vars
+    return [[RatFunc.const(nv, int(i == j)) - x for j, x in enumerate(row)] for i, row in enumerate(grid)]
+
+
 def _reference_link_minor(g, i, j):
-    """det((I - gamma)(i,j)) by the dense path: I - gamma as a RatMatrix,
-    entry by entry, whose det clears each row of its denominators."""
-    return det(minor_matrix(RatMatrix.identity(g.num_vars, g.n) - g.entries, i, j))
+    """det((I - gamma)(i,j)) by the dense path: I - gamma as a grid of
+    RatFunc, entry by entry, cleared to one denominator by the tests."""
+    return det(sparse(g.num_vars, minor_matrix(_identity_minus(g.entries.entries), i, j)))
 
 
 def _reference_alexander_function(g):
@@ -294,8 +302,8 @@ def _reference_alexander_function(g):
 
 def _reference_one_var_link(g):
     """t det((I - burau)(1,1)), burau = gamma with every variable collapsed."""
-    b = RatMatrix(1, [[x.collapse_vars() for x in row] for row in g.entries.entries])
-    minor = det(minor_matrix(RatMatrix.identity(1, g.n) - b, 0, 0))
+    b = [[x.collapse_vars() for x in row] for row in g.entries.entries]
+    minor = det(sparse(1, minor_matrix(_identity_minus(b), 0, 0)))
     return RatFunc(LaurentPoly.var(1, 0)) * minor
 
 
@@ -315,7 +323,7 @@ def all_reports():
 
 class TestLinkMinorsOverOneDenominator:
     """The link minors are those of the Laurent matrix d I - N over d^(n-1);
-    they give the fractions the dense RatMatrix path gives."""
+    they give the fractions the dense path, a grid of RatFunc, gives."""
 
     @pytest.fixture(scope="class")
     def reports(self, all_reports):
@@ -349,17 +357,18 @@ class TestLinkMinorsOverOneDenominator:
         for r in reports:
             g = r.record
             V = closure_matrix(g.fox)
-            multiplicity = g.n - rank(RatMatrix.identity(g.num_vars, g.n) - g.entries)
+            multiplicity = g.n - rank(sparse(g.num_vars, _identity_minus(g.entries.entries)))
             for k in range(g.n + 1):
                 want = (rank(V.V) < V.c - k) == (multiplicity >= k + 1)
                 assert ideal_rank_check(V, g, k) == want, (g.word, k)
 
     def test_no_dense_matrix_on_these_paths(self, reports, monkeypatch):
+        # the paths read Laurent cells, never the RatFunc view of a matrix
         def refuse(*_args):
             raise AssertionError("dense matrix on the link-minor path")
 
-        monkeypatch.setattr(algebra, "_cleared_rows", refuse)
-        monkeypatch.setattr(RatMatrix, "__init__", refuse)
+        monkeypatch.setattr(SparseMatrix, "entries", property(refuse))
+        monkeypatch.setattr(SparseMatrix, "__getitem__", refuse)
         for r in reports:
             g = r.record
             if r.delta_link is not None:
@@ -432,8 +441,8 @@ class TestEachDeterminantOnce:
         scale = LaurentPoly.const(2, 2) - LaurentPoly.var(2, 0)
 
         def scaled(m):
-            return RatMatrix(2, [[RatFunc(x.num * scale, x.den * scale) for x in row]
-                                 for row in m.entries])
+            return SparseMatrix(2, m.cols, [{j: x * scale for j, x in row.items()} for row in m.cells],
+                                m.den * scale)
 
         bad = dataclasses.replace(g, entries=scaled(g.entries), Z=scaled(g.Z))
         assert bad.entries == g.entries and bad.Z == g.Z

@@ -11,7 +11,6 @@ from stringlinks.algebra import (
     ExponentRangeError,
     SingularMatrixError,
     SparseMatrix,
-    _cleared_rows,
     _unit_pivot_eliminate,
 )
 from stringlinks.alexander import _folded, _link_matrix, closure_matrix
@@ -25,7 +24,6 @@ from stringlinks import (
     from_braid_word,
     gassner,
     RatFunc,
-    RatMatrix,
     ShapeError,
     TruncatedSeries,
     det,
@@ -38,7 +36,7 @@ from stringlinks import (
     torsion,
 )
 
-from conftest import corpus_words, is_permuted_triangular, minor_matrix
+from conftest import corpus_words, is_permuted_triangular, minor_matrix, sparse
 
 
 def t(i, power=1, nv=2):
@@ -143,26 +141,26 @@ class TestRatFunc:
 
 
 class TestRatMatrix:
+    """Matrices written as grids of rational functions, over one denominator."""
+
     def test_det_bareiss_integer(self):
         # frozen: det [[2,0,1],[1,3,2],[1,1,1]] = 2*(3-2) - 0 + 1*(1-3) = 0
         rows = [[2, 0, 1], [1, 3, 2], [1, 1, 1]]
-        M = RatMatrix(
-            1,
-            [[LaurentPoly.const(1, v) for v in row] for row in rows],
-        )
+        M = sparse(1, [[LaurentPoly.const(1, v) for v in row] for row in rows])
         assert det(M) == RatFunc.zero(1)
 
     def test_det_with_variables(self):
         s = LaurentPoly.var(1, 0)
         one = LaurentPoly.one(1)
-        M = RatMatrix(1, [[s, one], [one, s]])
+        M = sparse(1, [[s, one], [one, s]])
         assert det(M) == RatFunc(s * s - one)
+        assert det(sparse(1, [[RatFunc(s, one + s), one], [one, s]])) == RatFunc(s * s - one - s, one + s)
 
     def test_solve_against_hand_inverse(self):
         s = LaurentPoly.var(1, 0)
         one = LaurentPoly.one(1)
-        A = RatMatrix(1, [[s, one], [LaurentPoly.zero(1), s]])
-        I = RatMatrix.identity(1, 2)
+        A = sparse(1, [[s, one], [LaurentPoly.zero(1), s]])
+        I = SparseMatrix.identity(1, 2)
         X = solve(A, I)
         assert A * X == I
         inv = RatFunc(one, s)
@@ -172,32 +170,33 @@ class TestRatMatrix:
 
     def test_rank(self):
         s = LaurentPoly.var(1, 0)
-        M = RatMatrix(1, [[s, s], [s, s]])
+        M = sparse(1, [[s, s], [s, s]])
         assert rank(M) == 1
-        assert rank(RatMatrix.identity(1, 3)) == 3
+        assert rank(SparseMatrix.identity(1, 3)) == 3
 
     def test_singular_solve_raises(self):
         one = LaurentPoly.one(1)
-        M = RatMatrix(1, [[one, one], [one, one]])
+        M = sparse(1, [[one, one], [one, one]])
         with pytest.raises(SingularMatrixError):
-            solve(M, RatMatrix.identity(1, 2))
+            solve(M, SparseMatrix.identity(1, 2))
 
 
 def _gauss_jordan(M, B):
-    """Solve M X = B by dense fraction-free Gauss-Jordan: the reference for solve.
+    """Solve M X = B, given as grids of RatFunc, by dense fraction-free
+    Gauss-Jordan: the reference for solve.
 
     Each row of (M B) is multiplied by its distinct denominators, then the
     Bareiss one-step rule is applied to all rows, so every intermediate
     entry stays a Laurent polynomial and each solution entry is a single
-    fraction N_ij / pivot.
+    fraction N_ij / pivot.  Returns the grid of X.
     """
-    n, nv = M.rows, M.num_vars
+    n = len(M)
     if n == 0:
-        return RatMatrix(nv, [])
-    width = n + B.cols
+        return []
+    nv, width = M[0][0].num_vars, n + len(B[0])
     aug = []
     for i in range(n):
-        row = M.entries[i] + B.entries[i]
+        row = M[i] + B[i]
         dens = []
         for x in row:
             if not any(x.den == d for d in dens):
@@ -228,8 +227,7 @@ def _gauss_jordan(M, B):
             aug[i][k] = LaurentPoly.zero(nv)
         prev = piv
     d = aug[n - 1][n - 1]
-    return RatMatrix(nv, [[RatFunc(aug[i][n + j], d) for j in range(B.cols)]
-                          for i in range(n)])
+    return [[RatFunc(aug[i][n + j], d) for j in range(width - n)] for i in range(n)]
 
 
 def _random_poly(rng, monomial=False, nv=2, unit=False):
@@ -243,11 +241,15 @@ def _random_poly(rng, monomial=False, nv=2, unit=False):
     return p if p.terms else LaurentPoly.one(nv) - t(0)
 
 
-def _random_entry(rng, monomial=False, fractions=False):
-    num = _random_poly(rng, monomial)
-    if fractions and not monomial and rng.random() < 0.5:
-        return RatFunc(num, _random_poly(rng))
-    return RatFunc(num)
+def _random_entry(rng, monomial=False):
+    return RatFunc(_random_poly(rng, monomial))
+
+
+def _over_den(rng, grid, fractions):
+    """The matrix of a grid of Laurent entries, over a seeded two-term
+    denominator when fractions is set."""
+    M = sparse(2, grid)
+    return SparseMatrix(2, M.cols, M.cells, _random_poly(rng)) if fractions else M
 
 
 def _two_terms(rng):
@@ -270,24 +272,23 @@ def _random_block_matrix(rng, blocks, monomial=0.5, fractions=False, fill=0.25,
     for size in blocks:
         draw = cyclic_entry if cyclic_entry and size > 1 else None
         for i in range(start, start + size):
-            M[i][i] = draw(rng) if draw else _random_entry(rng, rng.random() < monomial, fractions)
+            M[i][i] = draw(rng) if draw else _random_entry(rng, rng.random() < monomial)
             for j in range(start):
                 if rng.random() < fill:
-                    M[i][j] = _random_entry(rng, fractions=fractions)
+                    M[i][j] = _random_entry(rng)
             if size > 1:
                 # a cycle through the block keeps it irreducible
                 j = start + (i - start + 1) % size
-                M[i][j] = draw(rng) if draw else _random_entry(rng, fractions=fractions)
+                M[i][j] = draw(rng) if draw else _random_entry(rng)
         start += size
     rows, cols = list(range(n)), list(range(n))
     rng.shuffle(rows)
     rng.shuffle(cols)
-    return RatMatrix(2, [[M[i][j] for j in cols] for i in rows])
+    return _over_den(rng, [[M[i][j] for j in cols] for i in rows], fractions)
 
 
 def _random_rhs(rng, n, width, fractions=False):
-    return RatMatrix(2, [[_random_entry(rng, fractions=fractions) for _ in range(width)]
-                         for _ in range(n)])
+    return _over_den(rng, [[_random_entry(rng) for _ in range(width)] for _ in range(n)], fractions)
 
 
 class TestBlockTriangularSolve:
@@ -299,7 +300,7 @@ class TestBlockTriangularSolve:
         M = _random_block_matrix(rng, [1] * 7)
         B = _random_rhs(rng, 7, 2)
         X = solve(M, B)
-        assert X == _gauss_jordan(M, B)
+        assert X.entries == _gauss_jordan(M.entries, B.entries)
         assert M * X == B
 
     def test_monomial_pivots_keep_denominator_one(self):
@@ -313,7 +314,7 @@ class TestBlockTriangularSolve:
         rng = random.Random(100 + seed)
         M = _random_block_matrix(rng, [1, 3, 1, 2])
         B = _random_rhs(rng, 7, 1)
-        assert solve(M, B) == _gauss_jordan(M, B)
+        assert solve(M, B).entries == _gauss_jordan(M.entries, B.entries)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fraction_entries_and_rhs_match_dense(self, seed):
@@ -321,37 +322,38 @@ class TestBlockTriangularSolve:
         M = _random_block_matrix(rng, [1, 2, 1], fractions=True)
         B = _random_rhs(rng, 4, 1, fractions=True)
         X = solve(M, B)
-        assert X == _gauss_jordan(M, B)
+        assert X.entries == _gauss_jordan(M.entries, B.entries)
         assert M * X == B
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_unit_normal_denominator(self, seed):
         # solve divides the core's last pivot by its unit, so every entry
-        # shares one unit-normal d
+        # shares one unit-normal d; a denominator of B comes on top of it
         rng = random.Random(250 + seed)
         M = _random_block_matrix(rng, [2, 3], fractions=seed % 2 == 1)
         B = _random_rhs(rng, 5, 2, fractions=seed % 2 == 1)
         X = solve(M, B)
-        assert X == _gauss_jordan(M, B)
-        (d,) = {x.den for row in X.entries for x in row}
+        assert X.entries == _gauss_jordan(M.entries, B.entries)
+        (den,) = {x.den for row in X.entries for x in row}
+        d = den.exact_div(B.den)
         assert not d.is_one() and normalize_unit(d) == d
 
     def test_structurally_singular_raises(self):
         # rows 0 and 1 only mention column 0, so no perfect matching exists
         one, zero = LaurentPoly.one(2), LaurentPoly.zero(2)
-        M = RatMatrix(2, [[t(0), zero, zero], [one + t(1), zero, zero], [one, t(0), t(1)]])
+        M = sparse(2, [[t(0), zero, zero], [one + t(1), zero, zero], [one, t(0), t(1)]])
         with pytest.raises(SingularMatrixError):
-            solve(M, RatMatrix.identity(2, 3))
+            solve(M, SparseMatrix.identity(2, 3))
 
     def test_numerically_singular_block_raises(self):
         # a structurally nonsingular cyclic block with zero determinant,
         # below a unit singleton
         one, zero = LaurentPoly.one(2), LaurentPoly.zero(2)
-        M = RatMatrix(2, [[t(0), zero, zero],
-                          [one, one - t(1), t(0)],
-                          [zero, t(0) - t(0) * t(1), t(0) * t(0)]])
+        M = sparse(2, [[t(0), zero, zero],
+                       [one, one - t(1), t(0)],
+                       [zero, t(0) - t(0) * t(1), t(0) * t(0)]])
         with pytest.raises(SingularMatrixError):
-            solve(M, RatMatrix.identity(2, 3))
+            solve(M, SparseMatrix.identity(2, 3))
 
     def test_braid_gassner_has_denominator_one(self):
         g = gassner(from_braid_word(3, [1, -2, 1, 1, -2, 2, -1, -1]))
@@ -360,30 +362,30 @@ class TestBlockTriangularSolve:
 
 
 def _laplace_det(M):
-    """Cofactor expansion along the first row: an independent reference."""
-    if M.rows == 0:
-        return RatFunc.one(M.num_vars)
-    total = RatFunc.zero(M.num_vars)
-    for j in range(M.cols):
-        if M[0, j].is_zero():
+    """Cofactor expansion of a grid of RatFunc along its first row: an
+    independent reference."""
+    if len(M) == 1:
+        return M[0][0]
+    total = RatFunc.zero(M[0][0].num_vars)
+    for j, x in enumerate(M[0]):
+        if x.is_zero():
             continue
-        minor = RatMatrix(M.num_vars, [[M[r, c] for c in range(M.cols) if c != j]
-                                       for r in range(1, M.rows)])
-        term = M[0, j] * _laplace_det(minor)
+        term = x * _laplace_det(minor_matrix(M, 0, j))
         total = total + term if j % 2 == 0 else total - term
     return total
 
 
 def _submatrix(M, rows, cols):
-    return RatMatrix(M.num_vars, [[M[i, j] for j in cols] for i in rows])
+    return sparse(M.num_vars, [[M[i, j] for j in cols] for i in rows])
 
 
 def _minor_rank(M):
     """The size of the largest nonzero minor, by cofactor expansion."""
+    grid = M.entries
     for k in range(min(M.rows, M.cols), 0, -1):
         for rows in combinations(range(M.rows), k):
             for cols in combinations(range(M.cols), k):
-                if not _laplace_det(_submatrix(M, rows, cols)).is_zero():
+                if not _laplace_det([[grid[i][j] for j in cols] for i in rows]).is_zero():
                     return k
     return 0
 
@@ -400,25 +402,25 @@ def _fox_like(rng, n):
         k, m = rng.sample(range(n), 2)
         M[i][k] = M[i][k] + RatFunc(_random_poly(rng, monomial=True, unit=True))
         M[i][m] = M[i][m] + RatFunc(LaurentPoly.one(2) - _random_poly(rng, True, unit=True))
-    return RatMatrix(2, M)
+    return sparse(2, M)
 
 
 def _random_matrix(rng, rows, cols, monomial=0.5, fractions=False, density=0.6):
     zero = RatFunc.zero(2)
-    return RatMatrix(2, [[_random_entry(rng, rng.random() < monomial, fractions)
-                          if rng.random() < density else zero for _ in range(cols)]
-                         for _ in range(rows)])
+    return _over_den(rng, [[_random_entry(rng, rng.random() < monomial)
+                            if rng.random() < density else zero for _ in range(cols)]
+                           for _ in range(rows)], fractions)
 
 
 def _dependent_rows(rng, M, extra):
     """M with `extra` more rows, each a combination of two rows of M."""
-    rows = [list(r) for r in M.entries]
+    base = M.entries
+    rows = list(base)
     for _ in range(extra):
         a, b = rng.sample(range(M.rows), 2)
         x, y = _random_entry(rng), _random_entry(rng)
-        rows.insert(rng.randrange(len(rows) + 1),
-                    [x * p + y * q for p, q in zip(M.entries[a], M.entries[b])])
-    return RatMatrix(2, rows)
+        rows.insert(rng.randrange(len(rows) + 1), [x * p + y * q for p, q in zip(base[a], base[b])])
+    return sparse(2, rows)
 
 
 class TestUnitPivotElimination:
@@ -428,14 +430,14 @@ class TestUnitPivotElimination:
     def test_fox_like_rows(self, seed):
         rng = random.Random(300 + seed)
         M = _fox_like(rng, rng.randint(3, 6))
-        assert det(M) == _laplace_det(M)
+        assert det(M) == _laplace_det(M.entries)
         assert rank(M) == _minor_rank(M)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_non_monomial_entries(self, seed):
         rng = random.Random(400 + seed)
         M = _random_matrix(rng, 4, 4, monomial=0.0)
-        assert det(M) == _laplace_det(M)
+        assert det(M) == _laplace_det(M.entries)
         assert rank(M) == _minor_rank(M)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -445,22 +447,22 @@ class TestUnitPivotElimination:
         M = _random_matrix(rng, 6, 6, monomial=0.7, density=0.45)
         assert any(m < 0 for row in M.entries for x in row if x.num.terms
                    for m in x.num.min_exponents())
-        assert det(M) == _laplace_det(M)
+        assert det(M) == _laplace_det(M.entries)
         assert rank(M) == _minor_rank(M)
 
     def test_non_unit_monomials_only(self):
         rng = random.Random(550)
-        M = RatMatrix(2, [[RatFunc(LaurentPoly.monomial(2, (rng.randint(-1, 1), 1),
+        M = sparse(2, [[RatFunc(LaurentPoly.monomial(2, (rng.randint(-1, 1), 1),
                                                         rng.choice([2, -3])))
                            for _ in range(4)] for _ in range(4)])
-        assert det(M) == _laplace_det(M)
+        assert det(M) == _laplace_det(M.entries)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ratfunc_entries(self, seed):
         rng = random.Random(600 + seed)
         M = _random_matrix(rng, 4, 4, fractions=True)
         assert any(not x.den.is_one() for row in M.entries for x in row)
-        assert det(M) == _laplace_det(M)
+        assert det(M) == _laplace_det(M.entries)
         assert rank(M) == _minor_rank(M)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -470,7 +472,7 @@ class TestUnitPivotElimination:
         M = _dependent_rows(rng, base, 2)
         assert rank(M) == _minor_rank(M) == rank(base)
         square = _submatrix(M, range(M.cols), range(M.cols))
-        assert det(square) == _laplace_det(square)
+        assert det(square) == _laplace_det(square.entries)
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (1, 4), (4, 1)])
     def test_rectangular(self, shape):
@@ -491,9 +493,9 @@ class TestUnitPivotElimination:
             diag = RatFunc.one(2)
             for i in range(n):
                 diag = diag * L[i][i]
-            M = RatMatrix(2, [[L[i][j] for j in perm_cols] for i in perm_rows])
+            M = sparse(2, [[L[i][j] for j in perm_cols] for i in perm_rows])
             sign = _parity(perm_rows) * _parity(perm_cols)
-            assert det(M) == (diag if sign > 0 else -diag) == _laplace_det(M)
+            assert det(M) == (diag if sign > 0 else -diag) == _laplace_det(M.entries)
             assert rank(M) == n
 
     def test_braid_torsion_never_reaches_bareiss(self, monkeypatch):
@@ -508,14 +510,13 @@ class TestUnitPivotElimination:
 
 def _eliminated(M, B):
     """(pivots, core) of solve's monomial-pivot elimination of (M B)."""
-    rows, _den = _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], M.num_vars)
-    return _unit_pivot_eliminate(rows, M.num_vars, M.cols, B.cols)
+    return _unit_pivot_eliminate(_solve_rows(M, B), M.num_vars, M.cols, B.cols)
 
 
 def _scaled_rows(M, factors):
     """M with row i multiplied by the constant factors[i % len(factors)]."""
-    return RatMatrix(M.num_vars, [[x * RatFunc.const(M.num_vars, factors[i % len(factors)])
-                                   for x in row] for i, row in enumerate(M.entries)])
+    return SparseMatrix(M.num_vars, M.cols, [{j: x.scale(factors[i % len(factors)]) for j, x in row.items()}
+                                             for i, row in enumerate(M.cells)], M.den)
 
 
 class TestMonomialPivotSolve:
@@ -528,7 +529,7 @@ class TestMonomialPivotSolve:
         B = _random_rhs(rng, M.rows, 2)
         assert not is_permuted_triangular(M)
         X = solve(M, B)
-        assert X == _gauss_jordan(M, B)
+        assert X.entries == _gauss_jordan(M.entries, B.entries)
         assert M * X == B
 
     @pytest.mark.parametrize("seed", range(4))
@@ -540,7 +541,7 @@ class TestMonomialPivotSolve:
         B = _random_rhs(rng, M.rows, 2)
         assert len(_eliminated(M, B)[1]) >= 4
         X = solve(M, B)
-        assert X == _gauss_jordan(M, B)
+        assert X.entries == _gauss_jordan(M.entries, B.entries)
         assert M * X == B
 
     @pytest.mark.parametrize("seed", range(4))
@@ -551,7 +552,7 @@ class TestMonomialPivotSolve:
         pivots, _core = _eliminated(M, B)
         assert {abs(c) for _j, p, _inv, _row in pivots for c in p.terms.values()} & {2, 3}
         X = solve(M, B)
-        assert X == _gauss_jordan(M, B)
+        assert X.entries == _gauss_jordan(M.entries, B.entries)
         assert M * X == B
 
     def test_coefficient_two_and_three_triangular(self):
@@ -562,7 +563,7 @@ class TestMonomialPivotSolve:
         X = solve(M, B)
         assert len(_eliminated(M, B)[1]) == 0
         assert all(x.den.is_one() for row in X.entries for x in row)
-        assert X == _gauss_jordan(M, B)
+        assert X.entries == _gauss_jordan(M.entries, B.entries)
 
     def test_integral_results_of_fraction_pivots_are_ints(self):
         # 1/2, 1/3 and -1/2 inverses meet the pivots' 2, 3 and -2 in
@@ -579,11 +580,10 @@ class TestMonomialPivotSolve:
     def test_rhs_with_denominators(self, seed):
         rng = random.Random(1300 + seed)
         M = _random_block_matrix(rng, [1, 2, 1, 1])
-        B = RatMatrix(2, [[RatFunc(_random_poly(rng), _random_poly(rng)) for _ in range(2)]
-                          for _ in range(M.rows)])
+        B = _random_rhs(rng, M.rows, 2, fractions=True)
         assert all(not x.den.is_one() for row in B.entries for x in row)
         X = solve(M, B)
-        assert X == _gauss_jordan(M, B)
+        assert X.entries == _gauss_jordan(M.entries, B.entries)
         assert M * X == B
 
     @pytest.mark.parametrize("seed", range(3))
@@ -597,7 +597,7 @@ class TestMonomialPivotSolve:
         with pytest.raises(SingularMatrixError):
             solve(M, B)
         with pytest.raises(SingularMatrixError):
-            _gauss_jordan(M, B)
+            _gauss_jordan(M.entries, B.entries)
 
     @pytest.mark.parametrize("n, gens", [(3, [1, -2, 1, 1, -2, 2, -1, -1]),
                                          (4, [1, 2, -3, 2, 1, 3, -1])])
@@ -608,11 +608,6 @@ class TestMonomialPivotSolve:
         monkeypatch.setattr(algebra, "_bareiss_eliminate", dense)
         gamma, Z = solve_fox_system(fox_of_word(from_braid_word(n, gens)))
         assert all(x.den.is_one() for row in gamma.entries + Z.entries for x in row)
-
-
-def _dense(S):
-    """The SparseMatrix S as a RatMatrix."""
-    return RatMatrix(S.num_vars, [[row.get(j, 0) for j in range(S.cols)] for row in S.cells])
 
 
 def _random_sparse(rng, rows, cols, per_row=3, monomial=0.6):
@@ -643,30 +638,28 @@ def _cancelling_fox(rng, n, c):
 
 
 def _assert_kernel_agrees(S, B=None):
-    """det, rank and solve of S equal those of S as a RatMatrix and the references."""
-    D = _dense(S)
+    """det, rank and solve of S equal those of S's grid of RatFunc by the references."""
     assert all(p.terms for row in S.cells for p in row.values())
-    assert rank(S) == rank(D) == _minor_rank(D)
+    assert rank(S) == _minor_rank(S)
     if S.rows != S.cols:
         return
-    assert det(S) == det(D) == _laplace_det(D)
+    assert det(S) == _laplace_det(S.entries)
     if B is None:
         return
-    if det(D).is_zero():
-        for args in ((S, B), (D, _dense(B))):
-            with pytest.raises(SingularMatrixError):
-                solve(*args)
+    if det(S).is_zero():
         with pytest.raises(SingularMatrixError):
-            _gauss_jordan(D, _dense(B))
+            solve(S, B)
+        with pytest.raises(SingularMatrixError):
+            _gauss_jordan(S.entries, B.entries)
     else:
         X = solve(S, B)
-        assert X == solve(D, _dense(B)) == _gauss_jordan(D, _dense(B))
-        assert D * X == _dense(B)
+        assert X.entries == _gauss_jordan(S.entries, B.entries)
+        assert S * X == B
 
 
 class TestSparseEntry:
     """det, rank and solve take a SparseMatrix as it is, and agree with the
-    same matrix given as a RatMatrix and with the test references."""
+    same matrix's grid of RatFunc by the test references."""
 
     def test_zero_cells_are_dropped(self):
         p, zero = LaurentPoly.one(2) - t(0), LaurentPoly.zero(2)
@@ -680,10 +673,10 @@ class TestSparseEntry:
         F, cancelled = _cancelling_fox(rng, 2, 5)
         V = _folded(F)
         assert cancelled and all(k not in V.cells[r] for r, k in cancelled)
-        dense = RatMatrix(2, [[RatFunc(row.get(j, LaurentPoly.zero(2))) +
-                               RatFunc(row.get(j + F.c, LaurentPoly.zero(2))) if j < F.n else
-                               row.get(j, 0) for j in range(F.c)] for row in F.rows])
-        assert _dense(V) == dense
+        dense = [[RatFunc(row.get(j, LaurentPoly.zero(2))) +
+                  RatFunc(row.get(j + F.c, LaurentPoly.zero(2))) if j < F.n else
+                  RatFunc(row.get(j, LaurentPoly.zero(2))) for j in range(F.c)] for row in F.rows]
+        assert V.entries == dense
         _assert_kernel_agrees(V, _random_sparse(rng, F.c, 2))
 
     def test_empty_rows_and_zero_columns(self):
@@ -734,8 +727,8 @@ class TestSparseEntry:
         S = _random_sparse(rng, 5, 5, per_row=4)
         m = S.minor(i, j)
         assert (m.rows, m.cols) == (4, 4)
-        assert _dense(m) == minor_matrix(_dense(S), i, j)
-        assert det(m) == _laplace_det(minor_matrix(_dense(S), i, j))
+        assert m.entries == minor_matrix(S.entries, i, j)
+        assert det(m) == _laplace_det(minor_matrix(S.entries, i, j))
 
     @pytest.mark.parametrize("i, j", [(0, 0), (0, 4), (4, 0), (4, 4), (2, 1)])
     def test_minor_cells_stay_sorted_and_nonzero(self, i, j):
@@ -744,7 +737,7 @@ class TestSparseEntry:
         rng = random.Random(2000)
         S = _random_sparse(rng, 5, 5, per_row=4)
         want = SparseMatrix(2, 4, [{c: x.num for c, x in enumerate(row)}
-                                   for row in minor_matrix(_dense(S), i, j).entries])
+                                   for row in minor_matrix(S.entries, i, j)])
         for m in (S.minor(i, j), S.minor(i, j).minor(0, 3)):
             if m.cols == 3:
                 want = SparseMatrix(2, 3, want.minor(0, 3).cells)
@@ -803,8 +796,7 @@ def _reference_eliminate(rows, num_vars, cols, carried=0):
 
 def _reference_det(M):
     """The reference for det: the signed pivots multiplied one product at a time."""
-    cleared, den = algebra._laurent_rows(M)
-    pivots, core = _reference_eliminate(cleared, M.num_vars, M.cols)
+    pivots, core = _reference_eliminate([dict(r) for r in M.cells], M.num_vars, M.cols)
     d = LaurentPoly.one(M.num_vars)
     for _j, p, _inv, _row in pivots:
         d = d * p
@@ -813,18 +805,20 @@ def _reference_det(M):
         if r < len(core):
             return RatFunc.zero(M.num_vars)
         d = d * (core[-1][-1] if sign > 0 else -core[-1][-1])
-    return RatFunc(d, den)
+    return RatFunc(d, M.den ** M.rows)
 
 
 def _reference_rank(M):
-    pivots, core = _reference_eliminate(algebra._laurent_rows(M)[0], M.num_vars, M.cols)
+    pivots, core = _reference_eliminate([dict(r) for r in M.cells], M.num_vars, M.cols)
     return len(pivots) + (algebra._bareiss_eliminate(core)[2] if core else 0)
 
 
 def _reference_solve(M, B):
-    """The reference for solve: the back-substitution over the monomial
-    pivots multiplies d and each pivot-row cell by the LaurentPoly p ** -1."""
+    """The reference for solve over M and B of denominator 1: the
+    back-substitution over the monomial pivots multiplies d and each
+    pivot-row cell by the LaurentPoly p ** -1."""
     n, m, nv = M.rows, B.cols, M.num_vars
+    assert M.den.is_one() and B.den.is_one()
     pivots, core = _reference_eliminate(_solve_rows(M, B), nv, n, m)
     d, N = LaurentPoly.one(nv), {}
 
@@ -848,14 +842,12 @@ def _reference_solve(M, B):
     for j, _p, inverse, row in reversed(pivots):
         later = [(v * inverse, N[c]) for c, v in row.items() if c < n]
         N[j] = [substituted(d * inverse, row.get(n + k), later, k) for k in range(m)]
-    return RatMatrix(nv, [[RatFunc(x, d) for x in N[j]] for j in range(n)])
+    return SparseMatrix(nv, m, [dict(enumerate(N[j])) for j in range(n)], d)
 
 
 def _solve_rows(M, B):
     """The Laurent rows of (M B) that solve eliminates."""
-    if isinstance(M, SparseMatrix):
-        return [{**a, **{M.cols + k: v for k, v in b.items()}} for a, b in zip(M.cells, B.cells)]
-    return _cleared_rows([a + b for a, b in zip(M.entries, B.entries)], M.num_vars)[0]
+    return [{**a, **{M.cols + k: v for k, v in b.items()}} for a, b in zip(M.cells, B.cells)]
 
 
 def _exact(p):
@@ -888,7 +880,7 @@ def _assert_same_fractions(got, want):
 def _assert_kernel_matches_reference(M, B=None):
     """Pivots and core, then det, rank and solve, against the reference."""
     nv = M.num_vars
-    _assert_same_elimination(algebra._laurent_rows(M)[0], nv, M.cols)
+    _assert_same_elimination(M.cells, nv, M.cols)
     assert rank(M) == _reference_rank(M)
     if M.rows == M.cols:
         _assert_same_fractions(det(M), _reference_det(M))
@@ -912,8 +904,9 @@ def _monomial_rows(M, factors):
     """M with row i multiplied by the monomial factors[i % len(factors)],
     given as (coefficient, exponents)."""
     nv = M.num_vars
-    scale = [RatFunc(LaurentPoly.monomial(nv, e, c)) for c, e in factors]
-    return RatMatrix(nv, [[x * scale[i % len(scale)] for x in row] for i, row in enumerate(M.entries)])
+    scale = [LaurentPoly.monomial(nv, e, c) for c, e in factors]
+    return SparseMatrix(nv, M.cols, [{j: x * scale[i % len(scale)] for j, x in row.items()}
+                                     for i, row in enumerate(M.cells)], M.den)
 
 
 _CORPUS = corpus_words()
@@ -1020,9 +1013,9 @@ def _fraction_row(rng, cols, density=0.7):
 
 def _assert_left_kernel(M):
     """The left kernel vector of M as a row, checked nonzero with u M = 0."""
-    u = RatMatrix(M.num_vars, [algebra.left_kernel_vector(M)])
-    assert any(not x.is_zero() for x in u.entries[0])
-    assert all(x.is_zero() for x in (u * M).entries[0])
+    u = SparseMatrix(M.num_vars, M.rows, [dict(enumerate(algebra.left_kernel_vector(M)))])
+    assert u.cells[0]
+    assert not (u * M).cells[0]
     return u
 
 
@@ -1031,8 +1024,8 @@ class TestLeftKernelVector:
 
     def test_zero_leading_row(self):
         # M^T has a zero first row: echelon form swaps it down
-        M = RatMatrix(1, [[0, 0, 0], [1, 1, 0], [0, 1, 1]]).transpose()
-        assert _assert_left_kernel(M) == RatMatrix(1, [[1, -1, 1]])
+        M = sparse(1, [[0, 0, 0], [1, 1, 0], [0, 1, 1]]).transpose()
+        assert _assert_left_kernel(M) == sparse(1, [[1, -1, 1]])
 
     @pytest.mark.parametrize("nullity", [1, 2])
     @pytest.mark.parametrize("seed", range(5))
@@ -1044,19 +1037,19 @@ class TestLeftKernelVector:
         base = [_fraction_row(rng, n) for _ in range(n - nullity)]
         combos = [[a.scale(Fraction(1, 2)) - b * c for a, b in zip(base[i], base[j])]
                   for i, j, c in ((0, 1, t(0)), (1, 0, LaurentPoly.const(2, 3)))]
-        T = RatMatrix(2, [zero_row] * (1 + seed % 2) + base + combos)
+        T = sparse(2, [zero_row] * (1 + seed % 2) + base + combos)
         assert rank(T) == n - nullity
         _assert_left_kernel(T.transpose())
 
     def test_independent_rows_have_no_left_kernel(self):
         rng = random.Random(1650)
-        M = RatMatrix(2, [_fraction_row(rng, 4, density=1.0) for _ in range(3)])
+        M = sparse(2, [_fraction_row(rng, 4, density=1.0) for _ in range(3)])
         assert rank(M) == 3
         assert algebra.left_kernel_vector(M) is None
 
     def test_zero_matrix(self):
-        u = _assert_left_kernel(RatMatrix(2, [[0, 0], [0, 0], [0, 0]]))
-        assert u == RatMatrix(2, [[1, 0, 0]])
+        u = _assert_left_kernel(sparse(2, [[0, 0], [0, 0], [0, 0]]))
+        assert u == sparse(2, [[1, 0, 0]])
 
 
 def _parity(perm):

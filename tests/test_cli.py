@@ -408,9 +408,9 @@ class TestSubcommands:
         # the walk oracle, off by one in its (1, 1) cell
         def walk_matrix(diagram, num_vars=None):
             G = stringlinks.walk_matrix(diagram, num_vars)
-            entries = [list(row) for row in G.entries]
-            entries[0][0] = entries[0][0] + stringlinks.RatFunc.one(G.num_vars)
-            return stringlinks.RatMatrix(G.num_vars, entries)
+            cells = [dict(row) for row in G.cells]
+            cells[0][0] = cells[0][0] + G.den if 0 in cells[0] else G.den
+            return stringlinks.SparseMatrix(G.num_vars, G.cols, cells, G.den)
 
         monkeypatch.setattr(cli, "walk_matrix", walk_matrix)
 

@@ -1,6 +1,7 @@
 """Truncated Taylor expansions and finite-type vanishing."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from stringlinks import (
     MorseWord,
     SeriesMatrix,
+    TruncatedSeries,
     VerificationError,
     add_kink,
     alternating_sum,
@@ -15,9 +17,9 @@ from stringlinks import (
     from_braid_word,
     stack,
     taylor_gassner,
+    trace,
 )
 from stringlinks.diagram import CrossNeg, CrossPos, is_crossing
-from stringlinks.gassner import numerators
 
 from conftest import CORPUS_DIR, load, pure_corpus_words, random_pure_braids, random_twisted_tangles
 
@@ -187,7 +189,7 @@ class TestSumThenExpand:
 
         def recorded_gassner(w):
             g = solved(w)
-            dens.append(numerators(g.entries.entries)[1])
+            dens.append(g.entries.den)
             return g
 
         monkeypatch.setattr(finitetype, "taylor_expand", counted_expand)
@@ -207,3 +209,65 @@ class TestSumThenExpand:
                 assert got == want and got.to_json() == want.to_json(), flips
                 assert got.min_total_degree() == want.min_total_degree(), flips
         assert checked >= 5
+
+
+def _linking_numbers(diagram, signed=True):
+    """lk(i, j): half the signs of the crossings between strands i and j
+    (0-based), read off the traced diagram; with signed=False every
+    crossing counts +1, which is not an invariant."""
+    lk = [[0] * diagram.n for _ in range(diagram.n)]
+    for crossing in diagram.crossings:
+        a = diagram.arcs[crossing.over_arc].strand - 1
+        b = diagram.arcs[crossing.under_in_arc].strand - 1
+        if a != b:
+            lk[a][b] += crossing.sign if signed else 1
+            lk[b][a] += crossing.sign if signed else 1
+    return [[Fraction(x, 2) for x in row] for row in lk]
+
+
+def _degree_one(diagram, lk):
+    """gamma to degree 1: gamma_ij = lk(i, j) z_i, gamma_ii = 1 - sum_k lk(i, k) z_k,
+    z_i the variable of strand i's color."""
+    nv = max(diagram.colors)
+
+    def z(i):
+        return tuple(int(k == diagram.colors[i] - 1) for k in range(nv))
+
+    rows = []
+    for i in range(diagram.n):
+        row = []
+        for j in range(diagram.n):
+            terms = {z(i): lk[i][j]} if i != j else {(0,) * nv: 1}
+            if i == j:
+                for k in range(diagram.n):
+                    terms[z(k)] = terms.get(z(k), 0) - lk[i][k]
+            row.append(TruncatedSeries(nv, 1, terms))
+        rows.append(row)
+    return rows
+
+
+class TestDegreeOne:
+    """The degree-1 Taylor coefficients of gamma are the linking numbers."""
+
+    @pytest.fixture(scope="class")
+    def words(self):
+        tangles = [w for w in random_twisted_tangles(60, seed=11)
+                   if trace(w).is_pure and len(set(w.colors)) == w.n]
+        assert len(tangles) == 28
+        return tangles + random_pure_braids(60, seed=12)
+
+    def test_linking_numbers(self, words):
+        for word in words:
+            diagram = trace(word)
+            lk = _linking_numbers(diagram)
+            assert all(x.denominator == 1 for row in lk for x in row)
+            series, want = taylor_gassner(word, 1), _degree_one(diagram, lk)
+            assert all(series[i, j] == want[i][j] for i in range(word.n) for j in range(word.n)), word
+
+    def test_unsigned_counts_fail(self, words):
+        failed = 0
+        for word in words:
+            diagram = trace(word)
+            series, want = taylor_gassner(word, 1), _degree_one(diagram, _linking_numbers(diagram, False))
+            failed += any(series[i, j] != want[i][j] for i in range(word.n) for j in range(word.n))
+        assert failed > len(words) // 2

@@ -9,13 +9,14 @@ import pytest
 from stringlinks import (
     LaurentPoly,
     RatFunc,
-    RatMatrix,
+    SparseMatrix,
     VerificationError,
     add_kink,
     burau,
     charpoly_coefficients,
     default_angles,
     det,
+    factorization_identity,
     fixes_weight_vectors,
     from_braid_word,
     full_twist,
@@ -32,8 +33,8 @@ from stringlinks import (
     stack,
     unitary_spectrum_check,
 )
-from stringlinks.diagram import CrossNeg, CrossPos, MorseError, MorseWord
-from stringlinks.gassner import _star, squared
+from stringlinks.diagram import CrossNeg, CrossPos, CupL, CupR, MorseError, MorseWord, is_crossing
+from stringlinks.gassner import squared
 
 from conftest import CORPUS_DIR, corpus_words, load, random_pure_braids, random_twisted_tangles
 
@@ -80,7 +81,7 @@ class TestGoldenValues:
 
     def test_full_twist_single_strand_is_identity(self):
         # one strand has nothing to twist around: the matrix is [1]
-        assert full_twist(1).entries == RatMatrix.identity(1, 1)
+        assert full_twist(1).entries == SparseMatrix.identity(1, 1)
 
 
 class TestFunctoriality:
@@ -103,7 +104,7 @@ class TestFunctoriality:
             word = from_braid_word(3, gens)
             doubled = stack(word, invert(word))
             g = gassner(doubled)
-            assert g.entries == RatMatrix.identity(g.num_vars, g.n), gens
+            assert g.entries == SparseMatrix.identity(g.num_vars, g.n), gens
 
     def test_braid_relation(self):
         left = gassner(from_braid_word(3, [1, 2, 1]))
@@ -161,14 +162,16 @@ class TestSquared:
         assert seen_non_unit
 
     def test_entries_over_two_denominators_are_refused(self):
+        # a hand-built record whose gamma is over d q and Z over d: the same
+        # values, but the factorization reads [N_gamma; N_Z] over one d
         g = gassner(load(CORPUS_DIR / "twist_s2.sl"))
-        rows = [row[:] for row in g.entries.entries]
         q = LaurentPoly.one(g.num_vars) + LaurentPoly.var(g.num_vars, 0)
-        rows[0][0] = RatFunc(rows[0][0].num * q, rows[0][0].den * q)  # same value
-        mixed = dataclasses.replace(g, entries=RatMatrix(g.num_vars, rows))
+        entries = SparseMatrix(g.num_vars, g.n, [{j: x * q for j, x in row.items()}
+                                                 for row in g.entries.cells], g.entries.den * q)
+        mixed = dataclasses.replace(g, entries=entries)
         assert mixed.entries == g.entries
         with pytest.raises(VerificationError, match="share one denominator"):
-            squared(mixed)
+            factorization_identity(g.fox, mixed)
 
 
 class TestInvariance:
@@ -180,7 +183,7 @@ class TestInvariance:
     def test_cancelling_pair_invariance(self):
         word = from_braid_word(2, [1, -1])
         g = gassner(word)
-        assert g.entries == RatMatrix.identity(g.num_vars, 2)
+        assert g.entries == SparseMatrix.identity(g.num_vars, 2)
 
     def test_weight_vectors_on_seeded_words(self):
         for word in random_pure_braids(10, seed=77):
@@ -211,7 +214,7 @@ class TestNumeric:
     def test_numeric_eval_matches_symbolic_substitution(self):
         g = gassner(hopf())
         angles = [0.11, 0.07]
-        M = numeric_eval(g, angles)
+        M = numeric_eval(g.entries, angles)
         t1 = cmath.exp(2j * cmath.pi * angles[0])
         t2 = cmath.exp(2j * cmath.pi * angles[1])
         assert abs(M[0][0] - t2) < 1e-12
@@ -239,7 +242,7 @@ class TestNumeric:
         assert coeffs[2] == RatFunc.const(2, 1)
         assert coeffs[0] == det(M)
         x = RatFunc.const(2, 3)
-        shifted = M - RatMatrix.identity(2, 2).map(lambda e: e * x)
+        shifted = M - SparseMatrix(2, 2, [{0: x.num}, {1: x.num}])
         assert coeffs[0] + coeffs[1] * x + coeffs[2] * x * x == det(shifted)
 
 
@@ -251,7 +254,7 @@ class TestInvariantForm:
         assert J.rows == 1 and J.cols == 1
         assert not J[0, 0].is_zero()
         # skew-hermitian under the bar involution
-        assert _star(J) == J.map(lambda e: -e)
+        assert not any((J.bar_transpose() + J).cells)
 
     def test_three_strand_form_held_out(self):
         samples = [
@@ -264,7 +267,7 @@ class TestInvariantForm:
         assert any(not x.is_zero() for row in J.entries for x in row)
         for word in random_pure_braids(4, seed=31):
             gt = reduce(gassner(word)).entries
-            assert _star(gt) * J * gt == J
+            assert gt.bar_transpose() * J * gt == J
 
     def test_zero_form_is_refused(self, monkeypatch):
         # J = 0 satisfies gt* J gt = J for every sample, so it proves nothing
@@ -277,12 +280,12 @@ class TestInvariantForm:
 class TestSerialization:
     def test_matrix_json_round_trip(self):
         g = gassner(hopf())
-        again = matrix_from_json(matrix_to_json(g))
+        again = matrix_from_json(matrix_to_json(g.entries))
         assert again == g.entries
 
     def test_reduced_json_round_trip(self):
         gt = reduce(gassner(from_braid_word(3, [1, 1, 2, 2])))
-        assert matrix_from_json(matrix_to_json(gt)) == gt.entries
+        assert matrix_from_json(matrix_to_json(gt.entries)) == gt.entries
 
 
 class TestValidation:
@@ -292,3 +295,69 @@ class TestValidation:
         word = MorseWord(2, (1, 2), (CrossPos(1),))
         with pytest.raises(MorseError):
             gassner(word)
+
+
+class TestReduceValues:
+    """reduce over one denominator, (N_kj w_1 - N_1j w_k) / (d w_1), against
+    gamma_kj - gamma_1j w_k / w_1 in RatFunc arithmetic."""
+
+    def test_corpus_and_drawn_tangles(self):
+        words = [word for _, word in corpus_words()] + random_twisted_tangles(10, seed=4)
+        checked = non_unit = 0
+        for word in words:
+            try:
+                g = gassner(word)
+            except MorseError:
+                continue  # a word that permutes colors has no gamma
+            nv, gamma = g.num_vars, g.entries.entries
+            w = [RatFunc(LaurentPoly.one(nv) - LaurentPoly.var(nv, c - 1)) for c in g.colors]
+            want = [[gamma[k][j] - gamma[0][j] * w[k] / w[0] for j in range(1, g.n)]
+                    for k in range(1, g.n)]
+            got = reduce(g).entries
+            assert (got.rows, got.cols) == (g.n - 1, g.n - 1)
+            assert got.entries == want, word
+            checked += g.n > 1
+            non_unit += not g.entries.den.is_one()
+        assert checked >= 30 and non_unit >= 5
+
+
+class TestConcordanceOnTangles:
+    """gamma(L invert(L)) = I = gamma(L) gamma(invert(L)) on drawn tangles,
+    most of whose torsions are not units."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        words = random_twisted_tangles(40, seed=9)
+        assert sum(not gassner(w).entries.den.is_one() for w in words) == 14
+        return words
+
+    def test_inverse_cancels(self, draws):
+        for word in draws:
+            g, inverse = gassner(word), gassner(invert(word))
+            identity = SparseMatrix.identity(g.num_vars, g.n)
+            assert gassner(stack(word, invert(word))).entries == identity, word
+            assert g.entries * inverse.entries == identity, word
+
+    def test_mirror_keeping_crossing_types_fails(self, draws):
+        # reflected without trading CrossPos for CrossNeg: not an inverse
+        def mirror(word):
+            caps_reflected = invert(word)
+            crossings = [ev for ev in reversed(word.events) if is_crossing(ev)]
+            events = [crossings.pop(0) if is_crossing(ev) else ev for ev in caps_reflected.events]
+            return MorseWord(word.n, caps_reflected.colors, tuple(events))
+
+        failed = 0
+        for word in draws:
+            g = gassner(word)
+            failed += gassner(stack(word, mirror(word))).entries != SparseMatrix.identity(g.num_vars, g.n)
+        assert failed > 0
+
+    def test_every_cap_to_cup_l_is_refused(self, draws):
+        # the reflected cap must open the way the reversed strands flow
+        def all_cup_l(word):
+            events = [CupL(ev.pos) if isinstance(ev, CupR) else ev for ev in invert(word).events]
+            return MorseWord(word.n, invert(word).colors, tuple(events))
+
+        for word in draws:
+            with pytest.raises(MorseError, match="aligned orientations"):
+                gassner(stack(word, all_cup_l(word)))

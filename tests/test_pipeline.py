@@ -12,10 +12,10 @@ from collections import Counter
 
 import pytest
 
-from stringlinks import walks
+from stringlinks import gassner, walks
 from stringlinks.cli import run
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, load
 
 COUNTED = {
     "trace": "diagram",
@@ -156,3 +156,21 @@ def test_knot_closure_needs_pure_word_before_extra_solve(calls, capsys):
     assert "needs a pure word" in capsys.readouterr().err
     assert {key: calls[key] for key in ("trace", "fox_matrix", "solve_fox_system", "burau")} == \
         {"trace": 1, "fox_matrix": 1, "solve_fox_system": 1, "burau": 0}
+
+
+def test_tracer_reads_a_solve_over_a_non_unit_denominator(capsys):
+    # slbench's tracer over verify on twisted_k1, whose gamma is over d != 1
+    # and whose walk labeling leaves a core: its size counters read every
+    # traced solve, det and rank result
+    from slbench import tracing
+
+    path = CORPUS_DIR / "twisted_k1.sl"
+    g = gassner(load(path))
+    assert not g.entries.den.is_one()
+    with tracing.Tracer() as tracer:
+        assert run(["verify", str(path)]) == 0
+    capsys.readouterr()
+    largest = max(len(p.terms) for row in g.entries.cells for p in row.values())
+    assert tracer.sizes["algebra.max_terms"] >= max(largest, len(g.entries.den.terms))
+    assert tracer.sizes["algebra.max_coeff_bits"] > 0
+    assert tracer.sizes["walks.core_max"] > 0

@@ -1,0 +1,17 @@
+"""README's Python example prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_python_example_prints_its_comments():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    want = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert want and out.getvalue().splitlines() == want

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from stringlinks import (
     LaurentPoly,
+    MorseError,
     RatFunc,
-    RatMatrix,
+    SparseMatrix,
     add_twist,
     factorization_identity,
     fox_of_word,
@@ -23,14 +24,16 @@ from stringlinks import (
     twist_formula,
     walk_matrix,
 )
-from stringlinks.algebra import VerificationError, _coerce_entry, _unit_pivot_eliminate, augment
-from stringlinks.diagram import add_kink, permutation
+from stringlinks.algebra import VerificationError, _unit_pivot_eliminate, augment
+from stringlinks.diagram import CrossNeg, CrossPos, MorseWord, add_kink, permutation
 
 from conftest import (
+    as_ratfunc,
     corpus_words,
     is_permuted_triangular,
     random_pure_braids,
     random_twisted_tangles,
+    sparse,
 )
 
 
@@ -39,11 +42,11 @@ def _fixed_point_labeling(diagram, top_labels, nv):
 
     Every pass over the pending rules fires those whose dependencies are
     all labeled, in RatFunc arithmetic, until a pass makes no progress;
-    the rules left form a dense RatMatrix system with one right-hand side.
+    the rules left form a dense system of RatFunc with one right-hand side.
     """
     labels = [None] * diagram.num_edges
     for j, value in enumerate(top_labels):
-        labels[diagram.top_edges[j]] = _coerce_entry(value, nv)
+        labels[diagram.top_edges[j]] = as_ratfunc(nv, value)
     one = RatFunc.one(nv)
     rules = []
     for ci, (o_in, o_out, u_in, u_out) in enumerate(diagram.crossing_edges):
@@ -93,7 +96,7 @@ def _fixed_point_labeling(diagram, top_labels, nv):
                     b[r][0] = b[r][0] + coeff * labels[d]
                 else:
                     M[r][index[d]] = M[r][index[d]] - coeff
-        X = solve(RatMatrix(nv, M), RatMatrix(nv, b))
+        X = solve(sparse(nv, M), sparse(nv, b))
         for e, k in index.items():
             labels[e] = X[k, 0]
     return labels
@@ -101,11 +104,11 @@ def _fixed_point_labeling(diagram, top_labels, nv):
 
 def _assert_matches_reference(diagram, grid):
     nv = max(diagram.colors)
-    labels = solve_labeling(diagram, grid, nv)
-    assert len(labels) == diagram.num_edges
+    labels = solve_labeling(diagram, sparse(nv, grid))
+    assert labels.rows == diagram.num_edges
     for k in range(len(grid[0])):
         reference = _fixed_point_labeling(diagram, [row[k] for row in grid], nv)
-        assert [edge[k] for edge in labels] == reference, k
+        assert [labels[e, k] for e in range(labels.rows)] == reference, k
 
 
 def _random_poly(rng, nv, coeffs=(-2, -1, 1, 2, 3)):
@@ -161,10 +164,12 @@ def test_one_pass_labeling_matches_reference_on_one_column():
 
 
 def test_labeling_grid_must_have_n_rows_of_one_length():
+    # the top labels are a matrix, so its rows have one length; the row
+    # count must be the strand count
     d = trace(from_braid_word(2, [1, 1]))
-    for grid in ([[1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [1]]):
+    for grid in ([[1, 0]], [[1, 0], [0, 1], [0, 0]]):
         with pytest.raises(VerificationError):
-            solve_labeling(d, grid)
+            solve_labeling(d, sparse(2, grid))
 
 
 def test_walk_matches_fox_on_small_words():
@@ -290,3 +295,74 @@ class TestTwistFormula:
         g = gassner(from_braid_word(2, [1, 1]))
         with pytest.raises(Exception):
             twist_formula(g, 3)
+
+
+def _grid_product(A, B):
+    """The product of two grids of RatFunc, entry by entry."""
+    zero = RatFunc.zero(A[0][0].num_vars)
+    return [[sum((a * b for a, b in zip(row, col)), zero) for col in zip(*B)] for row in A]
+
+
+def _reference_twist_first(m, var):
+    """The first-strand twist of a grid of RatFunc by its closed form,
+    alpha = 1 / (1 - a z), in RatFunc arithmetic."""
+    nv, n = m[0][0].num_vars, len(m)
+    z = RatFunc(LaurentPoly.one(nv) - LaurentPoly.var(nv, var, -1))
+    alpha = (RatFunc.one(nv) - m[0][0] * z).inverse()
+    ti, ti2 = RatFunc(LaurentPoly.var(nv, var, -1)), RatFunc(LaurentPoly.var(nv, var, -2))
+    out = [[m[i][j] + z * alpha * m[i][0] * m[0][j] for j in range(n)] for i in range(n)]
+    out[0][0] = z + ti2 * alpha * m[0][0]
+    for j in range(1, n):
+        out[0][j], out[j][0] = ti * alpha * m[0][j], ti * alpha * m[j][0]
+    return out
+
+
+def _reference_twist(m, colors, strand):
+    """G(mu) T_1(G(mu)^-1 m G(mu)) G(mu)^-1 for a grid m of RatFunc, as a
+    chain of RatFunc grids, the permutation braids' matrices taken by the
+    walk rules."""
+    colors, n, nv, s = tuple(colors), len(m), m[0][0].num_vars, strand
+    if s == 1:
+        return _reference_twist_first(m, colors[0] - 1)
+    mid_colors = (colors[s - 1],) + colors[:s - 1] + colors[s:]
+    mu = walk_matrix(trace(MorseWord(n, colors, tuple(CrossNeg(k) for k in range(s - 1, 0, -1)))),
+                     nv).entries
+    mu_inv = walk_matrix(trace(MorseWord(n, mid_colors, tuple(CrossPos(k) for k in range(1, s)))),
+                         nv).entries
+    inner = _grid_product(_grid_product(mu_inv, m), mu)
+    return _grid_product(_grid_product(mu, _reference_twist_first(inner, colors[s - 1] - 1)), mu_inv)
+
+
+class TestTwistValues:
+    """twist_formula over one denominator against the twisted diagram and
+    against the closed form in RatFunc arithmetic."""
+
+    def test_corpus_and_drawn_tangles(self):
+        words = [word for _, word in corpus_words()] + random_twisted_tangles(10, seed=4)
+        checked = non_unit = 0
+        for word in words:
+            try:
+                g = gassner(word)
+            except MorseError:
+                continue  # a word that permutes colors has no gamma
+            for strand in range(1, word.n + 1):
+                try:
+                    direct = gassner(add_twist(word, strand)).entries
+                except MorseError:
+                    continue  # the strand does not return to its slot
+                got = twist_formula(g, strand)
+                assert got == direct, (word, strand)
+                assert got.entries == _reference_twist(g.entries.entries, g.colors, strand), (word, strand)
+                checked += 1
+                non_unit += not g.entries.den.is_one()
+        assert checked >= 60 and non_unit >= 10
+
+    @pytest.mark.parametrize("strand", [1, 2])
+    def test_denominator_that_does_not_divide_the_minors(self, strand):
+        # N = I over d = 2 + t2: the 2 x 2 minor 1 of N is not a multiple
+        # of d, so the twisted matrix goes over d q
+        one, t2 = LaurentPoly.one(2), LaurentPoly.var(2, 1)
+        M = SparseMatrix(2, 2, [{0: one}, {1: one}], LaurentPoly.const(2, 2) + t2)
+        got = twist_formula(M, strand)
+        got.den.exact_div(M.den)
+        assert got.entries == _reference_twist(M.entries, (1, 2), strand)
