@@ -185,8 +185,8 @@ def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> List[Dict[int, Lau
     [gamma; Z] = N / d over the one denominator d of the record's solve, so
     this is d (V - (A B) * [[I - gamma, 0], [-Z, I]]).  Row r of the product
     is d (A B)_r - sum_k a_rk N_k over the nonzeros a_rk, N_k being row k of
-    [N_gamma; N_Z]; d V and the product are computed separately.  A record
-    whose gamma and Z do not share one d is refused.
+    [N_gamma; N_Z]; d V and the product are summed separately from the Fox
+    cells.  A record whose gamma and Z do not share one d is refused.
     """
     if g.Z is None:
         raise VerificationError("gassner matrix carries no Z block")
@@ -194,15 +194,15 @@ def factorization_identity(F: FoxMatrix, g: GassnerMatrix) -> List[Dict[int, Lau
         raise VerificationError("gassner matrix entries do not share one denominator")
     X, d = g.entries.cells + g.Z.cells, g.entries.den
     nv, zero = F.num_vars, _zero_key(F.num_vars)
-    unit = d.is_one()  # d = 1 for every braid: d V is V, with no product
     residual = []
-    for v_row, ab_row in zip(_folded(F).cells, F.ab().cells):
-        cells = {j: dict(x.terms) if unit else _fma({}, d.terms, x.terms, zero)
-                 for j, x in v_row.items()}
-        for k, a in ab_row.items():
-            _fma(cells.setdefault(k, {}), d.terms, a.terms, zero, -1)
-            for j, x in X[k].items():
-                _fma(cells.setdefault(j, {}), a.terms, x.terms, zero)
+    for row in F.rows:
+        cells: Dict[int, dict] = {}
+        for k, a in row.items():
+            _fma(cells.setdefault(k % F.c, {}), d.terms, a.terms, zero)  # d V: column c+k folds onto k
+            if k < F.c:  # a_rk of (A B)
+                _fma(cells.setdefault(k, {}), d.terms, a.terms, zero, -1)
+                for j, x in X[k].items():
+                    _fma(cells.setdefault(j, {}), a.terms, x.terms, zero)
         residual.append({j: p for j, acc in cells.items() if (p := _finished(acc, nv)).terms})
     return residual
 
@@ -260,10 +260,13 @@ def alexander_function(g: GassnerMatrix) -> RatFunc:
     independent of the pair (i, j); computed at (1,1) and cross-checked
     at a second pair.
     """
+    return _alexander_function(g, *_link_matrix(g))
+
+
+def _alexander_function(g: GassnerMatrix, M: SparseMatrix, d: LaurentPoly) -> RatFunc:
     n, nv = g.n, g.num_vars
     if n < 2:
         raise VerificationError("link Alexander function needs n >= 2")
-    M, d = _link_matrix(g)
     den = d ** (n - 1)
 
     def value(i: int, j: int) -> RatFunc:
@@ -342,7 +345,7 @@ def full_report(L: Union[MorseWord, GassnerMatrix]) -> AlexReport:
     if components >= 2 and faithful:
         delta_closure = alexander_poly_closure(V)
         if pure:
-            delta_link = alexander_function(g)
+            delta_link = _alexander_function(g, M, d)
             multi_ok = equal_up_to_units(RatFunc(delta_closure), RatFunc(tau) * delta_link)
 
     tau_one = normalize_unit(tau.collapse_vars())

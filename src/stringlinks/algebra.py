@@ -28,7 +28,8 @@ Conventions:
     cross-multiplies.
     A lightweight `reduced` pass (exact division, monomial/scalar content,
     univariate GCD) exists for presentation purposes only.
-  * Canonical text form orders terms by (total degree, exponent tuple).
+  * Canonical text form orders terms by (total degree, exponent tuple),
+    with each monomial's text from a bounded table.
   * A matrix is a SparseMatrix: Laurent rows over one denominator.  `det`,
     `rank` and `solve` take its rows as they are and share one sparse
     elimination: pivots that are monomials (units of the Laurent ring over
@@ -42,10 +43,11 @@ Conventions:
     N / d over one unit-normal d, and d = 1 when no core is left: the Fox
     systems of braids never leave the Laurent ring.  Denominators equal up
     to a unit are then equal, so `==` skips cross-multiplying.
-  * `taylor_expand` substitutes t_i = 1 - z_i by cached binomial rows of
-    (1 - z_i)^k and divides by the denominator degree by degree in one
-    pass, with `int` coefficients while they are integral.  A
-    TruncatedSeries is the same packed kernel, cut at its degree bound.
+  * `taylor_expand` substitutes t_i = 1 - z_i from a bounded table of
+    (1 - z)^e per monomial, or in large inputs by a sweep over the
+    variables that merges terms, and divides by the denominator degree by
+    degree in one pass, with `int` coefficients while they are integral.
+    A TruncatedSeries is the same packed kernel, cut at its degree bound.
 """
 
 from __future__ import annotations
@@ -466,17 +468,22 @@ class LaurentPoly:
         return [(_unpack(k, self.num_vars), self.terms[k]) for k in sorted(self.terms)]
 
     def to_text(self, var_names: Sequence[str] | None = None) -> str:
-        if var_names is None:
-            var_names = default_var_names(self.num_vars)
         if not self.terms:
             return "0"
+        names = tuple(default_var_names(self.num_vars) if var_names is None else var_names)
         pieces = []
-        for i, (e, c) in enumerate(self.sorted_terms()):
-            factors = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(var_names, e) if k)
+        for i, key in enumerate(sorted(self.terms)):
+            c, factors = self.terms[key], _factor_text(key, self.num_vars, names)
             mag = abs(c)
             body = factors if factors and mag == 1 else f"{mag}*{factors}" if factors else str(mag)
             pieces.append(("-" if c < 0 else "") + body if i == 0 else ("- " if c < 0 else "+ ") + body)
         return " ".join(pieces)
+
+
+@lru_cache(maxsize=1 << 14)
+def _factor_text(key: int, num_vars: int, names: tuple) -> str:
+    """The monomial of a packed key as text, t1^2*t3 ("" for the zero key)."""
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, _unpack(key, num_vars)) if k)
 
 
 def default_var_names(num_vars: int) -> list:
@@ -1143,15 +1150,35 @@ def _binomial_row(k: int, room: int) -> tuple:
     return tuple(comb(-k + j - 1, j) for j in range(room + 1))
 
 
+_TABLE_LIMIT = 1000  # terms in a p's table rows (C(n + bound, bound) a row) past which the sweep wins
+
+
 def _substitute(p: LaurentPoly, bound: int) -> dict:
-    """p(1 - z_1, ..., 1 - z_n) to total degree <= bound, as packed terms:
-    one variable at a time, the field of t_i^k takes each exponent j of the
-    binomial row of (1 - z_i)^k cut at the degree left, and terms that
-    agree on what is left to substitute merge.  The total-degree field
-    holds 0 until it gets the z-degree last."""
-    field, bias = _layout(p.num_vars)
-    mask, top = (1 << field) - 1, field * p.num_vars
-    cur = {(0, k & ((1 << top) - 1) | (bias << top)): c for k, c in p.terms.items()}
+    """p(1 - z_1, ..., 1 - z_n) to total degree <= bound, as packed terms: a
+    sum of cached rows (1 - z)^e, one per term, while they hold at most
+    _TABLE_LIMIT terms in all, else the `_sweep`, which merges terms."""
+    if len(p.terms) * comb(p.num_vars + bound, bound) > _TABLE_LIMIT:
+        return _sweep(p.terms, p.num_vars, bound)
+    acc: dict = {}
+    for k, c in p.terms.items():
+        for z, a in _monomial_series(k, p.num_vars, bound):
+            acc[z] = acc.get(z, 0) + a * c
+    return {k: c for k, c in acc.items() if c}
+
+
+@lru_cache(maxsize=512)
+def _monomial_series(key: int, num_vars: int, bound: int) -> tuple:
+    """The row of key: (1 - z)^e to degree <= bound as (key, coefficient) pairs."""
+    return tuple(_sweep({key: 1}, num_vars, bound).items())
+
+
+def _sweep(terms: dict, num_vars: int, bound: int) -> dict:
+    """The same sum, one variable at a time: t_i^k takes each term z_i^j of
+    the binomial row of (1 - z_i)^k cut at the degree left, and terms alike
+    in what is left merge; the total-degree field gets the z-degree last."""
+    field, bias = _layout(num_vars)
+    mask, top = (1 << field) - 1, field * num_vars
+    cur = {(0, k & ((1 << top) - 1) | (bias << top)): c for k, c in terms.items()}
     for at in range(top - field, -1, -field):
         nxt: dict = {}
         for (spent, k), c in cur.items():

@@ -35,6 +35,7 @@ from stringlinks import (
     taylor_expand,
     torsion,
 )
+from stringlinks.finitetype import alternating_sum, taylor_gassner
 
 from conftest import corpus_words, is_permuted_triangular, minor_matrix, sparse
 
@@ -85,6 +86,24 @@ class TestLaurentPoly:
         text = "1 - 2*t1 + t1*t2^-3"
         p = parse_poly(text, 2)
         assert parse_poly(p.to_text(), 2) == p
+
+    def test_one_key_under_two_name_lists(self):
+        # the factor text of a key is looked up per (key, num_vars, names):
+        # the same packed key prints with each list's own names
+        p = LaurentPoly(3, {(2, 0, 1): 1, (0, 1, 0): -1, (0, 0, 0): 1})
+        series = TruncatedSeries(3, 3, {(2, 0, 1): 1, (0, 1, 0): -1, (0, 0, 0): 1})
+        assert series.terms == p.terms
+        assert p.to_text() == "1 - t2 + t1^2*t3"
+        assert series.to_text() == "1 - z2 + z1^2*z3"
+        assert p.to_text(["x", "y", "w"]) == "1 - y + x^2*w"
+        assert p.to_text() == "1 - t2 + t1^2*t3"
+
+    def test_fraction_coefficients_print_as_before(self):
+        p = LaurentPoly(2, {(0, 0): Fraction(-1, 2), (1, -1): Fraction(3, 4), (0, 2): Fraction(-1),
+                            (2, 0): Fraction(5, 1), (-1, 0): Fraction(1)})
+        assert p.to_text() == "t1^-1 - 1/2 + 3/4*t1*t2^-1 - t2^2 + 5*t1^2"
+        assert TruncatedSeries(1, 2, {(0,): Fraction(-7, 3), (2,): Fraction(1, 2)}).to_text() == \
+            "-7/3 + 1/2*z^2"
 
     def test_normalize_unit_identifies_associates(self):
         p = LaurentPoly.one(2) - t(0) + t(0) * t(1)
@@ -1155,6 +1174,78 @@ class TestTaylorAgainstReference:
             taylor_expand(RatFunc(one, one - t(0) * t(1)), 3)
         with pytest.raises(algebra.AlgebraError):
             taylor_expand(RatFunc(one + t(0)), -1)
+
+
+def _large_taylor_input(rng, size, den_at_one):
+    """num / den in 4 variables: num has `size` terms with exponents in
+    [-2, 2] and Fraction coefficients, den two terms plus a constant, with
+    den(1) = den_at_one."""
+    def poly(size):
+        terms = {}
+        while len(terms) < size:
+            e = tuple(rng.randint(-2, 2) for _ in range(4))
+            terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        return LaurentPoly(4, terms)
+
+    den = poly(2)
+    return RatFunc(poly(size), den + LaurentPoly.const(4, den_at_one - den.augment()))
+
+
+class TestTaylorPastTheCrossover:
+    """`_substitute` takes the table for small inputs and the sweep for
+    large ones; both paths are checked on the same inputs, past the
+    crossover, at bounds 0-6."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        rng = random.Random(12)
+        return [_large_taylor_input(rng, size, at_one)
+                for size, at_one in ((60, 1), (140, 2), (300, Fraction(-3, 2)))]
+
+    def test_both_paths_against_the_reference(self, inputs, monkeypatch):
+        for r in inputs:
+            for bound in range(7):
+                expected = _reference_taylor(r, bound).terms
+                for limit in (0, 10 ** 9):  # the sweep alone, then the table alone
+                    monkeypatch.setattr(algebra, "_TABLE_LIMIT", limit)
+                    assert taylor_expand(r, bound).terms == expected, (len(r.num.terms), bound, limit)
+
+    def test_table_and_sweep_agree(self, inputs, monkeypatch):
+        for r in inputs:
+            for p in (r.num, r.den):
+                for bound in range(7):
+                    expected = algebra._sweep(p.terms, 4, bound)
+                    assert algebra._substitute(p, bound) == expected, (len(p.terms), bound)
+                    with monkeypatch.context() as m:
+                        m.setattr(algebra, "_TABLE_LIMIT", 10 ** 9)  # the table alone
+                        assert algebra._substitute(p, bound) == expected, (len(p.terms), bound)
+
+    def test_the_choice_follows_terms_and_bound(self, inputs, monkeypatch):
+        swept = set()  # (term count, bound) of the polynomials sent to the sweep
+        sweep = algebra._sweep
+        monkeypatch.setattr(algebra, "_sweep",
+                            lambda terms, nv, bound: swept.add((len(terms), bound)) or sweep(terms, nv, bound))
+        for r in inputs:
+            for p in (r.num, r.den):
+                for bound in range(7):
+                    algebra._substitute(p, bound)
+        # 300 terms take the sweep from bound 1 on, 60 from bound 3 on, and
+        # the three-term denominators never
+        assert {(300, bound) for bound in range(1, 7)} <= swept and (300, 0) not in swept
+        assert {(60, bound) for bound in range(3, 7)} <= swept and (60, 2) not in swept
+        assert not {(len(r.den.terms), bound) for r in inputs for bound in range(7)} & swept
+
+    def test_series_sized_inputs_take_the_table(self, monkeypatch):
+        # a pure 3-strand braid's taylor and altsum cells: the sweep runs
+        # only to fill table rows, one monomial at a time
+        swept = []
+        sweep = algebra._sweep
+        monkeypatch.setattr(algebra, "_sweep", lambda terms, *args: swept.append(len(terms)) or sweep(terms, *args))
+        algebra._monomial_series.cache_clear()
+        word = from_braid_word(3, [1, 1, -2, -2, 2, 2])
+        taylor_gassner(word, 3)
+        alternating_sum(word, [1, 3, 5], 4)
+        assert swept and set(swept) == {1}
 
 
 class TestSeries:

@@ -31,10 +31,12 @@ from stringlinks import (
     parse_ratfunc,
     reduce,
     stack,
+    torsion,
     unitary_spectrum_check,
 )
 from stringlinks.diagram import CrossNeg, CrossPos, CupL, CupR, MorseError, MorseWord, is_crossing
-from stringlinks.gassner import squared
+from stringlinks.alexander import equal_up_to_units
+from stringlinks.gassner import fox_of_word, squared
 
 from conftest import CORPUS_DIR, corpus_words, load, random_pure_braids, random_twisted_tangles
 
@@ -322,8 +324,9 @@ class TestReduceValues:
 
 
 class TestConcordanceOnTangles:
-    """gamma(L invert(L)) = I = gamma(L) gamma(invert(L)) on drawn tangles,
-    most of whose torsions are not units."""
+    """gamma(L invert(L)) = I = gamma(L) gamma(invert(L)), tau(invert(L)) =
+    bar(tau(L)) and tau(L invert(L)) = tau(L) tau(invert(L)) up to units on
+    drawn tangles, 14 of whose 40 torsions are not units."""
 
     @pytest.fixture(scope="class")
     def draws(self):
@@ -337,6 +340,19 @@ class TestConcordanceOnTangles:
             identity = SparseMatrix.identity(g.num_vars, g.n)
             assert gassner(stack(word, invert(word))).entries == identity, word
             assert g.entries * inverse.entries == identity, word
+
+    def test_torsion_of_the_inverse_is_the_bar(self, draws):
+        for word in draws:
+            tau, tau_inverse = torsion(fox_of_word(word)), torsion(fox_of_word(invert(word)))
+            assert equal_up_to_units(tau_inverse, tau.bar()), word
+            assert equal_up_to_units(torsion(fox_of_word(stack(word, invert(word)))), tau * tau_inverse), word
+
+    def test_torsion_without_the_bar_fails_off_units(self, draws):
+        # tau(invert(L)) = tau(L) fails on exactly the non-unit torsions
+        failed = [word for word in draws
+                  if not equal_up_to_units(torsion(fox_of_word(invert(word))), torsion(fox_of_word(word)))]
+        assert len(failed) == 14
+        assert all(not torsion(fox_of_word(word)).is_one() for word in failed)
 
     def test_mirror_keeping_crossing_types_fails(self, draws):
         # reflected without trading CrossPos for CrossNeg: not an inverse

@@ -33,6 +33,7 @@ def test_a_cap_hit_is_a_result():
     assert stages["gassner(L)"] == {"s": 1e-4, "status": "cap"}
     assert stages["compare"] == {"s": None, "status": "not run"}
     assert stages["walk compare"] == {"s": None, "status": "not run"}
+    assert stages["taylor 3"] == stages["taylor 6"] == {"s": None, "status": "not run"}
     assert stages["closure minors"] == {"s": None, "status": "not run"}
 
 

@@ -122,6 +122,31 @@ def test_walk_core_is_solved_once(argv, name, core_solves, monkeypatch, capsys):
     assert all(rows > 0 and cols == 2 for rows, cols in sizes)
 
 
+@pytest.mark.parametrize("argv, builds", [
+    (("report",), {"_link_matrix": 1, "_folded": 1, "ab": 1}),
+    # verify's second (A B) is the stacked word's
+    (("verify",), {"_link_matrix": 1, "_folded": 1, "ab": 2}),
+], ids=["report", "verify"])
+@pytest.mark.parametrize("name", ["hopf.sl", "twisted_k1.sl"])
+def test_derived_matrices_are_built_once_per_report(argv, builds, name, monkeypatch, capsys):
+    # full_report passes its link matrix d I - N on to the link minors; the
+    # solve builds (A B) and the closure matrix folds V = (A+C B), and the
+    # factorization check reads both from the Fox rows instead
+    from stringlinks import alexander
+    from stringlinks.wirtinger import FoxMatrix
+
+    counts = Counter()
+    for owner, attr in ((alexander, "_link_matrix"), (alexander, "_folded"), (FoxMatrix, "ab")):
+        def counted(*args, _fn=getattr(owner, attr), _name=attr):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    assert run([*argv, str(CORPUS_DIR / name)]) == 0
+    capsys.readouterr()
+    assert dict(counts) == builds
+
+
 def test_rank_only_when_the_first_closure_minor_vanishes(calls, capsys):
     # A nonzero (1,1) closure minor settles rank(V) = c - 1 (TARGETS: no
     # rank call on hopf, whose Delta_closure is 1); trivial_2's

@@ -21,7 +21,9 @@ stacking and walk checks: gassner(L), gassner(LL) of the word stacked on
 itself, the product g*g of L's matrix with itself (gassner.squared, as
 verify computes it), the compare of gamma(LL) with it, walk_matrix of
 L's diagram, and the compare of the walk matrix with gamma(L); then
-report's link minors, alexander_function of L's matrix, and its closure
+taylor_expand of every entry of L's matrix at orders 3 and 6, as the
+`taylor` command expands them, without solving again; then report's
+link minors, alexander_function of L's matrix, and its closure
 minors, alexander_poly_closure of the closure matrix of L's Fox matrix.
 Each stage runs under a wall-clock cap of CAP_S seconds; a stage that
 hits it is recorded as "cap" with the cap as its time, and the stages
@@ -43,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stringlinks import (  # noqa: E402
     add_kink, add_twist, alexander_function, alexander_poly_closure, closure_matrix,
-    from_braid_word, gassner, stack)
+    from_braid_word, gassner, stack, taylor_expand)
 from stringlinks.gassner import squared  # noqa: E402
 from stringlinks.walks import walk_matrix  # noqa: E402
 
@@ -53,8 +55,8 @@ RUNGS.update({"n3c96": (3, 96, 7, 0, 0), "n4c64": (4, 64, 7, 0, 0)})
 RUNGS.update({"t8": (4, 8, 3, 1, 2), "t16": (4, 16, 3, 2, 4), "t24": (4, 24, 3, 3, 6),
               "t32": (4, 32, 3, 4, 8)})
 CAP_S = 120.0  # wall-clock cap of each stage
-STAGES = ("gassner(L)", "gassner(LL)", "g*g", "compare", "walk", "walk compare", "link minors",
-          "closure minors")
+STAGES = ("gassner(L)", "gassner(LL)", "g*g", "compare", "walk", "walk compare", "taylor 3",
+          "taylor 6", "link minors", "closure minors")
 
 
 class CapHit(BaseException):
@@ -97,7 +99,8 @@ def run_rung(name: str, cap: float = CAP_S) -> dict:
     word = rung_word(name)
     values = {}
     needs = {"g*g": ("gassner(L)",), "compare": ("gassner(LL)", "g*g"),
-             "walk": ("gassner(L)",), "walk compare": ("walk",), "link minors": ("gassner(L)",),
+             "walk": ("gassner(L)",), "walk compare": ("walk",), "taylor 3": ("gassner(L)",),
+             "taylor 6": ("gassner(L)",), "link minors": ("gassner(L)",),
              "closure minors": ("gassner(L)",)}
     steps = {
         "gassner(L)": lambda: gassner(word),
@@ -106,6 +109,8 @@ def run_rung(name: str, cap: float = CAP_S) -> dict:
         "compare": lambda: values["gassner(LL)"].entries == values["g*g"],
         "walk": lambda: walk_matrix(values["gassner(L)"].diagram),
         "walk compare": lambda: values["walk"] == values["gassner(L)"].entries,
+        "taylor 3": lambda: [taylor_expand(x, 3) for row in values["gassner(L)"].entries.entries for x in row],
+        "taylor 6": lambda: [taylor_expand(x, 6) for row in values["gassner(L)"].entries.entries for x in row],
         "link minors": lambda: alexander_function(values["gassner(L)"]),
         "closure minors": lambda: alexander_poly_closure(closure_matrix(values["gassner(L)"].fox)),
     }
