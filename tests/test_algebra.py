@@ -96,7 +96,7 @@ class TestLaurentPoly:
         assert p.to_text() == "1 - t2 + t1^2*t3"
         assert series.to_text() == "1 - z2 + z1^2*z3"
         assert p.to_text(["x", "y", "w"]) == "1 - y + x^2*w"
-        assert p.to_text() == "1 - t2 + t1^2*t3"
+        assert p.to_text() == "1 - t2 + t1^2*t3"  # the t-names' entries survive the others
 
     def test_fraction_coefficients_print_as_before(self):
         p = LaurentPoly(2, {(0, 0): Fraction(-1, 2), (1, -1): Fraction(3, 4), (0, 2): Fraction(-1),
@@ -1144,6 +1144,21 @@ def _random_taylor_input(rng):
     return RatFunc(num, den)
 
 
+def _large_taylor_input(rng, size, den_at_one):
+    """num / den in 4 variables: num has `size` terms with exponents in
+    [-2, 2] and Fraction coefficients, den two terms plus a constant, with
+    den(1) = den_at_one."""
+    def poly(size):
+        terms = {}
+        while len(terms) < size:
+            e = tuple(rng.randint(-2, 2) for _ in range(4))
+            terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        return LaurentPoly(4, terms)
+
+    den = poly(2)
+    return RatFunc(poly(size), den + LaurentPoly.const(4, den_at_one - den.augment()))
+
+
 class TestTaylorAgainstReference:
     """`taylor_expand` against the truncated-product reference above."""
 
@@ -1175,43 +1190,26 @@ class TestTaylorAgainstReference:
         with pytest.raises(algebra.AlgebraError):
             taylor_expand(RatFunc(one + t(0)), -1)
 
-
-def _large_taylor_input(rng, size, den_at_one):
-    """num / den in 4 variables: num has `size` terms with exponents in
-    [-2, 2] and Fraction coefficients, den two terms plus a constant, with
-    den(1) = den_at_one."""
-    def poly(size):
-        terms = {}
-        while len(terms) < size:
-            e = tuple(rng.randint(-2, 2) for _ in range(4))
-            terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
-        return LaurentPoly(4, terms)
-
-    den = poly(2)
-    return RatFunc(poly(size), den + LaurentPoly.const(4, den_at_one - den.augment()))
-
-
-class TestTaylorPastTheCrossover:
-    """`_substitute` takes the table for small inputs and the sweep for
-    large ones; both paths are checked on the same inputs, past the
-    crossover, at bounds 0-6."""
+    # Past the crossover: seeded 4-variable inputs of 60-300 terms, on which
+    # `_substitute` takes the table at low bounds and the sweep at high ones;
+    # both paths are checked on every input at bounds 0-6.
 
     @pytest.fixture(scope="class")
-    def inputs(self):
+    def large_inputs(self):
         rng = random.Random(12)
         return [_large_taylor_input(rng, size, at_one)
                 for size, at_one in ((60, 1), (140, 2), (300, Fraction(-3, 2)))]
 
-    def test_both_paths_against_the_reference(self, inputs, monkeypatch):
-        for r in inputs:
+    def test_both_paths_against_the_reference(self, large_inputs, monkeypatch):
+        for r in large_inputs:
             for bound in range(7):
                 expected = _reference_taylor(r, bound).terms
                 for limit in (0, 10 ** 9):  # the sweep alone, then the table alone
                     monkeypatch.setattr(algebra, "_TABLE_LIMIT", limit)
                     assert taylor_expand(r, bound).terms == expected, (len(r.num.terms), bound, limit)
 
-    def test_table_and_sweep_agree(self, inputs, monkeypatch):
-        for r in inputs:
+    def test_table_and_sweep_agree(self, large_inputs, monkeypatch):
+        for r in large_inputs:
             for p in (r.num, r.den):
                 for bound in range(7):
                     expected = algebra._sweep(p.terms, 4, bound)
@@ -1220,12 +1218,12 @@ class TestTaylorPastTheCrossover:
                         m.setattr(algebra, "_TABLE_LIMIT", 10 ** 9)  # the table alone
                         assert algebra._substitute(p, bound) == expected, (len(p.terms), bound)
 
-    def test_the_choice_follows_terms_and_bound(self, inputs, monkeypatch):
+    def test_the_choice_follows_terms_and_bound(self, large_inputs, monkeypatch):
         swept = set()  # (term count, bound) of the polynomials sent to the sweep
         sweep = algebra._sweep
         monkeypatch.setattr(algebra, "_sweep",
                             lambda terms, nv, bound: swept.add((len(terms), bound)) or sweep(terms, nv, bound))
-        for r in inputs:
+        for r in large_inputs:
             for p in (r.num, r.den):
                 for bound in range(7):
                     algebra._substitute(p, bound)
@@ -1233,7 +1231,7 @@ class TestTaylorPastTheCrossover:
         # the three-term denominators never
         assert {(300, bound) for bound in range(1, 7)} <= swept and (300, 0) not in swept
         assert {(60, bound) for bound in range(3, 7)} <= swept and (60, 2) not in swept
-        assert not {(len(r.den.terms), bound) for r in inputs for bound in range(7)} & swept
+        assert not {(len(r.den.terms), bound) for r in large_inputs for bound in range(7)} & swept
 
     def test_series_sized_inputs_take_the_table(self, monkeypatch):
         # a pure 3-strand braid's taylor and altsum cells: the sweep runs
